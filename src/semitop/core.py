@@ -10,6 +10,7 @@ answer is exact or only a certified prefix.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterator, Optional, Union
@@ -49,8 +50,12 @@ class BoundedSet:
     elements: tuple
     exact: bool = True
 
+    @cached_property
+    def _members(self):
+        return frozenset(self.elements)
+
     def __contains__(self, x):
-        return x in set(self.elements)
+        return x in self._members
 
     def __iter__(self):
         return iter(self.elements)
@@ -160,11 +165,16 @@ def build_finite(table, labels=None):
             if not isinstance(v, int) or not 0 <= v < n:
                 raise MalformedTable(f"entry {v!r} out of range 0..{n - 1}")
     t = tuple(rows)
-    for a in range(n):
-        for b in range(n):
-            ab = t[a][b]
-            for c in range(n):
-                if t[ab][c] != t[a][t[b][c]]:
+    # (a*b)*c == a*(b*c) for all c at once: row a*b must equal row a read
+    # through row b, compose[b](t[a]).  n == 1 is skipped: the only 1x1
+    # table, [[0]], associates, and itemgetter of one index returns a scalar.
+    if n > 1:
+        compose = [operator.itemgetter(*row) for row in t]
+        for a in range(n):
+            ta = t[a]
+            for b in range(n):
+                if t[ta[b]] != compose[b](ta):
+                    c = next(c for c in range(n) if t[ta[b]][c] != ta[t[b][c]])
                     raise NonAssociative(a, b, c)
     if labels is None:
         labels = tuple(str(i) for i in range(n))
@@ -291,7 +301,8 @@ def central_idempotents(S, budget=DEFAULT_BUDGET):
     """The central idempotents, a commuting family closed under product."""
     idem = idempotents(S, budget)
     cen = center(S, budget)
-    members = tuple(x for x in idem.elements if x in set(cen.elements))
+    cen_set = set(cen.elements)
+    members = tuple(x for x in idem.elements if x in cen_set)
     return BoundedSet(members, exact=idem.exact and cen.exact)
 
 
@@ -456,7 +467,7 @@ def group_inverse(S, x, budget=DEFAULT_BUDGET):
 
 
 # ---------------------------------------------------------------------------
-# powers: orbits, projection to idempotents, roots
+# powers: orbits and projection to idempotents
 
 @dataclass(frozen=True)
 class MonogenicData:
@@ -533,42 +544,6 @@ def power_projection(S, x, budget=DEFAULT_BUDGET):
                     return PowerProjection("defined", e, m, tuple(orbit))
         p = S.mul(p, x)
     return PowerProjection("undefined_at_bound", None, None, tuple(orbit))
-
-
-def nth_roots(S, targets, n, budget=DEFAULT_BUDGET):
-    """{x : x^n lands in targets}; exact on finite handles."""
-    if n < 1:
-        raise BadParameter("root degree must be >= 1")
-    tset = set(targets)
-    if is_finite(S):
-        found = tuple(x for x in S.elements() if power(S, x, n) in tset)
-        return BoundedSet(found, exact=True)
-    pre = carrier_prefix(S, budget.elements)
-    return BoundedSet(tuple(x for x in pre if power(S, x, n) in tset), exact=False)
-
-
-def eventual_roots(S, targets, budget=DEFAULT_BUDGET):
-    """{x : some power of x lands in targets}; exact on finite handles,
-    exponents capped by the step budget on streams."""
-    tset = set(targets)
-
-    def hits(x, cap):
-        p = x
-        seen = set()
-        for _ in range(cap):
-            if p in tset:
-                return True
-            if p in seen:
-                return False
-            seen.add(p)
-            p = S.mul(p, x)
-        return False
-
-    if is_finite(S):
-        found = tuple(x for x in S.elements() if hits(x, S.size + 1))
-        return BoundedSet(found, exact=True)
-    pre = carrier_prefix(S, budget.elements)
-    return BoundedSet(tuple(x for x in pre if hits(x, budget.steps)), exact=False)
 
 
 # ---------------------------------------------------------------------------

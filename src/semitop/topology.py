@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .core import (
     DEFAULT_BUDGET,
@@ -181,7 +182,11 @@ class EBase:
 
     F must avoid the down-set of e; for kinds E and H it must consist of
     central idempotents, for kind Z of idempotents (centrality is not
-    required there, matching the asymmetry of the three definitions)."""
+    required there, matching the asymmetry of the three definitions).
+
+    The base owns the central idempotents at its budget (``central_pool``),
+    computed once on first use; parameter sampling and ``is_regular`` both
+    read it, so one certification scans the center once."""
 
     def __init__(self, S, e, kind="E", budget=DEFAULT_BUDGET):
         if kind not in ("E", "H", "Z"):
@@ -233,6 +238,11 @@ class EBase:
     def default_params(self):
         return (1, ()) if self.kind == "Z" else ()
 
+    @cached_property
+    def central_pool(self):
+        """The central idempotents at the base's budget."""
+        return central_idempotents(self.S, self.budget).elements
+
     def parameter_pool(self):
         """Idempotents usable inside F, from the enumeration prefix."""
         S = self.S
@@ -243,7 +253,7 @@ class EBase:
                 pool = tuple(x for x in carrier_prefix(S, self.budget.elements)
                              if S.mul(x, x) == x)
         else:
-            pool = central_idempotents(S, self.budget).elements
+            pool = self.central_pool
         return tuple(f for f in pool if not _leq(S, f, self.e))
 
     def sample_params(self, rng, count, max_f=4):
@@ -346,14 +356,16 @@ class EBase:
                             seen.add(y)
                             yield y
 
+            # members are the first budget.elements values gen() yields;
+            # one scan serves every query, advanced only as far as needed
             known = set()
-            cap = self.budget.elements
+            scan = itertools.islice(gen(), self.budget.elements)
 
-            def pred(y, _known=known, _cap=cap):
-                if y in _known:
+            def pred(y):
+                if y in known:
                     return True
-                for v in itertools.islice(gen(), _cap):
-                    _known.add(v)
+                for v in scan:
+                    known.add(v)
                     if v == y:
                         return True
                 return False
@@ -533,12 +545,12 @@ def is_regular(S, e, base, b, budget=DEFAULT_BUDGET):
     least central idempotent fixing b, forcing products to stay above it
     while b is not.  A candidate survives when a bounded product scan
     finds no hit; the verdict is definite only if the scan was
-    exhaustive."""
+    exhaustive.  The central idempotents come from the base, which
+    computes them once at its own budget (callers pass that budget)."""
     be = S.mul(b, e)
     if be == b:
         raise Inapplicable("b is fixed by e; nothing to separate")
-    pool = central_idempotents(S, budget).elements
-    least = _least_fixing_idempotent(S, b, pool)
+    least = _least_fixing_idempotent(S, b, base.central_pool)
     if least is not None and _leq(S, least, e):
         raise CertificationFailed(
             "regularity-construction",

@@ -1,6 +1,8 @@
 """Command-line behavior: exit codes, determinism, report files."""
 
 import json
+import runpy
+import sys
 
 import pytest
 
@@ -137,3 +139,11 @@ def test_topology_flat_certifies_and_writes_report(capsys, tmp_path):
     doc = read_report(out_file)
     entry = doc.entries[0]
     assert entry["anchor"] == 0 and entry["certificate"]["failures"] == []
+
+
+def test_python_dash_m_runs_the_cli(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["semitop", "--help"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("semitop", run_name="__main__")
+    assert exc.value.code == 0
+    assert "topology" in capsys.readouterr().out

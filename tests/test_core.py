@@ -65,7 +65,7 @@ def test_build_finite_reports_nonassociative_triple():
     assert t[t[a][b]][c] != t[a][t[b][c]]
 
 
-@given(st.integers(1, 3), st.data())
+@given(st.integers(1, 5), st.data())
 def test_validator_agrees_with_naive_associativity(n, data):
     flat = data.draw(st.lists(st.integers(0, n - 1), min_size=n * n,
                               max_size=n * n))
@@ -73,8 +73,18 @@ def test_validator_agrees_with_naive_associativity(n, data):
     if ob.is_associative(table):
         assert build_finite(table).size == n
     else:
-        with pytest.raises(NonAssociative):
+        first = next((a, b, c) for a in range(n) for b in range(n)
+                     for c in range(n)
+                     if table[table[a][b]][c] != table[a][table[b][c]])
+        with pytest.raises(NonAssociative) as err:
             build_finite(table)
+        assert err.value.triple == first
+
+
+def test_one_element_table_is_the_trivial_semigroup():
+    S = build_finite([[0]])
+    assert S.size == 1 and S.mul(0, 0) == 0
+    assert build_finite([[0]], labels=["e"]).labels == ("e",)
 
 
 def test_natural_order_on_chain_is_linear():

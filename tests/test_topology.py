@@ -1,5 +1,8 @@
 """Left quotients, shift neighborhoods, anchored bases, and certification."""
 
+import dataclasses
+import itertools
+
 import pytest
 
 import lemma_suite
@@ -160,6 +163,18 @@ def test_refinement_lands_in_the_intersection():
     assert zbase.refine((2, (1,)), (3, ())) == (6, (1,))
 
 
+@pytest.mark.parametrize("S", [flat_stream(), flat_finite(7)],
+                         ids=["flat", "flat:7"])
+def test_power_base_membership_matches_a_fresh_scan(S):
+    queries = [10, 3, 5, 200, 300, 1, 256, 300, 250, 257, 7, 5, 0, 256, 10]
+    for params in [(1, ()), (2, (5,)), (3, (1, 2)), (1, (3,))]:
+        member = EBase(S, 0, "Z", BUDGET).member(params)
+        fresh = EBase(S, 0, "Z", BUDGET).member(params).enumerate_fn()
+        reference = set(itertools.islice(fresh, BUDGET.elements))
+        assert [member.member(y) for y in queries] == [
+            y in reference for y in queries]
+
+
 # -- base-law validation -----------------------------------------------------
 
 def test_builtin_base_satisfies_the_laws():
@@ -286,3 +301,26 @@ def test_shift_laws_hold_on_the_finite_corpus():
     results = lemma_suite.run_suite(trials=200, seed=0)
     bad = {name: v for name, v in results.items() if v}
     assert not bad, bad
+
+
+def test_flat_certification_stays_under_its_multiplication_ceiling():
+    # each certificate costs about 0.9 M products; the ceilings catch a
+    # center scan per sampled moved point (about 17 M) and a Z member scan
+    # restarted on every miss (a Z replay of about 1.4 M)
+    for kind in "EHZ":
+        calls = 0
+        plain = flat_stream()
+
+        def counted(x, y, _mul=plain.mul_fn):
+            nonlocal calls
+            calls += 1
+            return _mul(x, y)
+
+        S = dataclasses.replace(plain, mul_fn=counted)
+        cert = certify_topology(S, 0, EBase(S, 0, kind, BUDGET), budget=BUDGET,
+                                seed=0)
+        assert calls < 1_000_000, (kind, calls)
+        if kind == "Z":
+            calls = 0
+            assert replay_certificate(S, EBase(S, 0, kind, BUDGET), cert)
+            assert calls < 500_000, calls
