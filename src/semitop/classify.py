@@ -17,8 +17,8 @@ from .core import (
     DEFAULT_BUDGET,
     Budget,
     StreamSemigroup,
+    bounded_view,
     build_stream,
-    carrier_prefix,
     is_finite,
     restrict,
 )
@@ -48,6 +48,7 @@ CHAIN_EDGES = [
     ("injective_T1S", "ideally_projectively_closed"),
     ("ideally_projectively_closed", "C_closed"),
     ("injective_T1S", "injective_T2S"),
+    ("injective_T2S", "C_closed"),
 ]
 
 
@@ -95,12 +96,14 @@ def finiteness(S, budget=DEFAULT_BUDGET):
 
 
 def center_subsemigroup(S, budget=DEFAULT_BUDGET):
-    """A handle for the center, or None when it is (certified) empty.
+    """A handle for the center, or None when it is empty (certified on
+    finite handles; on streams, no central code among the first
+    ``max(elements, steps)``), and whether the answer is exact.
 
     Commutative handles are their own center.  A finite handle restricts
-    exactly.  A stream filters its enumerator through certification against
-    a fixed prefix, which is sound only at bound; declared center facts ride
-    along via ``center_facts``."""
+    exactly.  A stream filters its enumerator through the view's pointwise
+    centrality test, which is sound only at bound; declared center facts
+    ride along via ``center_facts``."""
     if is_finite(S):
         if S.commutative:
             return S, True
@@ -112,20 +115,14 @@ def center_subsemigroup(S, budget=DEFAULT_BUDGET):
     facts = S.declared_facts or {}
     if facts.get("commutative"):
         return S, False
-    witnesses = carrier_prefix(S, min(64, budget.elements))
-    memo = {}
-
-    def certified_central(z):
-        if z not in memo:
-            memo[z] = all(S.mul(z, x) == S.mul(x, z) for x in witnesses)
-        return memo[z]
+    central = bounded_view(S, budget).central
+    probe = itertools.islice(S.enumerate_carrier(), max(budget.elements, budget.steps))
+    if not any(central(z) for z in probe):
+        return None, False
 
     def gen():
-        return (z for z in S.enumerate_carrier() if certified_central(z))
+        return (z for z in S.enumerate_carrier() if central(z))
 
-    probe = list(itertools.islice(gen(), 1))
-    if not probe:
-        return None, False
     handle = build_stream(f"center({S.name})", S.mul_fn, gen, S.label_fn,
                           declared_facts=S.center_facts or {})
     return handle, False
@@ -190,10 +187,14 @@ def center_necessary_conditions(S, budget=DEFAULT_BUDGET, suite=None):
     already computed suite when the center is the whole carrier."""
     handle, exact = center_subsemigroup(S, budget)
     if handle is None:
+        # on a stream, an infinite center may start past the probe
+        scanned = max(budget.elements, budget.steps)
+        cfin = (Verdict(HOLDS, "finite", {"kind": "empty_center"}, budget) if exact
+                else Verdict(UNKNOWN, "search",
+                             {"kind": "center_probe_empty", "scanned": scanned}, budget))
         return CenterAnalysis(empty=True, prefix_certified=not exact, suite=None,
                               closed_necessary=None, injective_necessary=None,
-                              center_finite=Verdict(HOLDS, "finite",
-                                                    {"kind": "empty_center"}, budget))
+                              center_finite=cfin)
     if handle is S:
         csuite = suite or evaluate_suite(handle, budget)
         cfin = finiteness(S, budget)

@@ -2,8 +2,8 @@
 enumerate small orders, and dump raw predicate suites.
 
 Everything is deterministic under a fixed configuration: seeds default to 0,
-reports are canonical JSON without timestamps, and parallel scans merge in
-entry-id order.  Exit codes: 0 ok, 1 usage or bad input, 2 certification or
+reports are canonical JSON without timestamps, and records are sorted by
+entry id.  Exit codes: 0 ok, 1 usage or bad input, 2 certification or
 corpus-integrity failure, 3 witness not found, 4 size cap.
 """
 
@@ -54,8 +54,6 @@ def _common_flags(sub):
                      help="seed for randomized sampling (default 0)")
     sub.add_argument("--out", default=None, help="write the report here "
                      "instead of standard output")
-    sub.add_argument("--workers", type=int, default=1,
-                     help="parallel workers over corpus entries")
 
 
 def build_parser():
@@ -136,7 +134,7 @@ def _emit(doc, args, summary_lines):
 def cmd_classify(args):
     budget = _budget(args)
     entries = _collect_entries(args)
-    records = scan_corpus(entries, budget, workers=args.workers)
+    records = scan_corpus(entries, budget)
     doc = ReportDocument(
         config=_config(args, "classify",
                        inputs=[e.id for e in entries]),

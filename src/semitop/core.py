@@ -203,6 +203,7 @@ class StreamSemigroup:
     division_oracle: Optional[Callable[[int, int], CarrierSet]] = None
     declared_facts: dict = field(default_factory=dict)
     center_facts: Optional[dict] = None
+    _views: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def mul(self, x, y):
         return self.mul_fn(x, y)
@@ -274,36 +275,157 @@ def power(S, x, n):
 
 
 # ---------------------------------------------------------------------------
+# the bounded view: one per handle and budget
+
+class Prefix:
+    """What a stream shows inside one budget, each fact computed once.
+
+    ``codes`` is the carrier prefix of ``budget.elements`` codes; the rest
+    derives from it on first use, so predicates, classifier and topology
+    share one enumeration, one center scan and one subgroup certificate.
+    Stream answers hold at the bound only (``exact`` is False)."""
+
+    exact = False
+
+    def __init__(self, S, budget=DEFAULT_BUDGET):
+        self.S, self.budget = S, budget
+        self._central, self._subgroup = {}, {}
+
+    @cached_property
+    def codes(self):
+        return tuple(carrier_prefix(self.S, self.budget.elements))
+
+    @cached_property
+    def idempotents(self):
+        return tuple(x for x in self.codes if self.S.mul(x, x) == x)
+
+    @cached_property
+    def _idempotent_set(self):
+        return frozenset(self.idempotents)
+
+    @cached_property
+    def center(self):
+        """Codes commuting with every code: on a stream neither an under-
+        nor an over-approximation of the center."""
+        mul, pre = self.S.mul, self.codes
+        return tuple(z for z in pre if all(mul(z, x) == mul(x, z) for x in pre))
+
+    @cached_property
+    def central_idempotents(self):
+        cen = set(self.center)
+        return tuple(x for x in self.idempotents if x in cen)
+
+    @cached_property
+    def central_exact(self):
+        """``central`` is exact only on streams declared commutative."""
+        return bool((self.S.declared_facts or {}).get("commutative"))
+
+    def central(self, x):
+        """Does x commute with the first 64 codes?  Can only over-accept."""
+        if self.central_exact:
+            return True
+        if x not in self._central:
+            mul = self.S.mul
+            self._central[x] = all(mul(x, w) == mul(w, x) for w in self.codes[:64])
+        return self._central[x]
+
+    @cached_property
+    def orbit_profile(self):
+        """(exponents, divergent, cap): the least n making x^n idempotent
+        for each of the first 64 codes, and the codes whose orbit shows none
+        within the per-code step cap."""
+        sample = self.codes[:64]
+        cap = max(8, self.budget.steps // max(1, len(sample)))
+        mul = self.S.mul
+        exponents, divergent = {}, []
+        for x in sample:
+            p = x
+            for n in range(1, cap + 1):
+                if mul(p, p) == p:
+                    exponents[x] = n
+                    break
+                p = mul(p, x)
+            else:
+                divergent.append(x)
+        return exponents, divergent, cap
+
+    def subgroup_idempotent(self, x):
+        """The idempotent f of x's subgroup, or None with no certificate in
+        the prefix: f fixes x on both sides, and x == f or some code v has
+        x*v == v*x == f.  Then x is H-related to f, so at most one f
+        qualifies."""
+        if x not in self._subgroup:
+            mul, pre = self.S.mul, self.codes
+            self._subgroup[x] = x if x in self._idempotent_set else next(
+                (f for f in self.idempotents if mul(f, x) == x and mul(x, f) == x
+                 and any(mul(x, v) == f and mul(v, x) == f for v in pre)), None)
+        return self._subgroup[x]
+
+    @cached_property
+    def subgroup_of(self):
+        """Map from each certified code to its subgroup idempotent."""
+        return {x: f for x in self.codes
+                if (f := self.subgroup_idempotent(x)) is not None}
+
+    def subgroup(self, e):
+        """The codes certified inside the subgroup of e, in code order."""
+        return tuple(x for x in self.codes if self.subgroup_of.get(x) == e)
+
+
+class _FinitePrefix(Prefix):
+    """The exhausted case, read off the table's structure maps."""
+
+    exact = central_exact = True
+    codes = property(lambda self: self.S.elements())
+    idempotents = property(lambda self: self.S.idempotent_codes)
+    center = property(lambda self: self.S.center_codes)
+    subgroup_of = property(lambda self: self.S.subgroup_idempotent)
+
+    @cached_property
+    def _center_set(self):
+        return frozenset(self.S.center_codes)
+
+    def central(self, x):
+        return x in self._center_set
+
+    def subgroup_idempotent(self, x):
+        return self.S.subgroup_idempotent.get(x)
+
+    def subgroup(self, e):
+        return self.S.h_partition[e] if self.subgroup_idempotent(e) == e else ()
+
+
+def bounded_view(S, budget=DEFAULT_BUDGET):
+    """The view of ``S`` at ``budget``.  A stream keeps its views in
+    ``_views``, which ``dataclasses.replace`` does not copy.  A finite
+    handle's view is a fresh adapter: kept, it would close a reference
+    cycle that holds the tables until a full garbage collection."""
+    if is_finite(S):
+        return _FinitePrefix(S, budget)
+    if budget not in S._views:
+        S._views[budget] = Prefix(S, budget)
+    return S._views[budget]
+
+
+# ---------------------------------------------------------------------------
 # idempotents, center, natural partial order
 
 def idempotents(S, budget=DEFAULT_BUDGET):
-    if is_finite(S):
-        return BoundedSet(S.idempotent_codes, exact=True)
-    found = tuple(x for x in carrier_prefix(S, budget.elements) if S.mul(x, x) == x)
-    return BoundedSet(found, exact=False)
+    view = bounded_view(S, budget)
+    return BoundedSet(view.idempotents, exact=view.exact)
 
 
 def center(S, budget=DEFAULT_BUDGET):
-    """Elements commuting with everything.
-
-    Exact on finite handles.  On a stream each listed element is only
-    certified against the enumerated prefix, so the result is neither an
-    under- nor an over-approximation and is flagged inexact.
-    """
-    if is_finite(S):
-        return BoundedSet(S.center_codes, exact=True)
-    pre = carrier_prefix(S, budget.elements)
-    out = tuple(z for z in pre if all(S.mul(z, x) == S.mul(x, z) for x in pre))
-    return BoundedSet(out, exact=False)
+    """Elements commuting with everything: exact on finite handles,
+    certified against the prefix on streams (see ``Prefix.center``)."""
+    view = bounded_view(S, budget)
+    return BoundedSet(view.center, exact=view.exact)
 
 
 def central_idempotents(S, budget=DEFAULT_BUDGET):
     """The central idempotents, a commuting family closed under product."""
-    idem = idempotents(S, budget)
-    cen = center(S, budget)
-    cen_set = set(cen.elements)
-    members = tuple(x for x in idem.elements if x in cen_set)
-    return BoundedSet(members, exact=idem.exact and cen.exact)
+    view = bounded_view(S, budget)
+    return BoundedSet(view.central_idempotents, exact=view.exact)
 
 
 @dataclass
@@ -317,12 +439,6 @@ class IdempotentPoset:
 
     def leq(self, x, y):
         return (x, y) in self._leq
-
-    def up_set(self, e):
-        return tuple(f for f in self.elements if self.leq(e, f))
-
-    def down_set(self, e):
-        return tuple(f for f in self.elements if self.leq(f, e))
 
     def minimal(self):
         return tuple(e for e in self.elements
@@ -422,27 +538,16 @@ class CliffordDecomposition:
 
 
 def clifford_parts(S, budget=DEFAULT_BUDGET):
-    if is_finite(S):
-        idem = S.idempotent_codes
-        classes = {e: S.h_partition[e] for e in idem}
-        sub = dict(S.subgroup_idempotent)
-        cen = set(S.center_codes)
-        central = tuple(sorted(x for x, e in sub.items() if e in cen))
-        residue = tuple(x for x in S.elements() if x not in sub)
-        return CliffordDecomposition(idem, classes, sub, central, residue, exact=True)
-    pre = carrier_prefix(S, budget.elements)
-    idem = tuple(x for x in pre if S.mul(x, x) == x)
-    classes = {}
-    sub = {}
-    for e in idem:
-        members = tuple(x for x in pre if _h_related_at_bound(S, e, x, pre))
-        classes[e] = members
-        for x in members:
-            sub.setdefault(x, e)
-    cen = set(center(S, budget).elements)
+    """The subgroups as the view certifies them; on a stream the residue
+    holds the prefix codes with no certificate at the bound."""
+    view = bounded_view(S, budget)
+    classes = {e: view.subgroup(e) for e in view.idempotents}
+    sub = dict(view.subgroup_of)
+    cen = set(view.center)
     central = tuple(sorted(x for x, e in sub.items() if e in cen))
-    residue = tuple(x for x in pre if x not in sub)  # only "not certified at bound"
-    return CliffordDecomposition(idem, classes, sub, central, residue, exact=False)
+    residue = tuple(x for x in view.codes if x not in sub)
+    return CliffordDecomposition(view.idempotents, classes, sub, central, residue,
+                                 exact=view.exact)
 
 
 def group_inverse(S, x, budget=DEFAULT_BUDGET):
@@ -450,20 +555,13 @@ def group_inverse(S, x, budget=DEFAULT_BUDGET):
 
     Uniquely determined by x*y*x == x, y*x*y == y, x*y == y*x; raises
     NotInCliffordPart when x lies in no subgroup (certified on finite
-    handles, at bound on streams)."""
-    if is_finite(S):
-        e = S.subgroup_idempotent.get(x)
-        if e is None:
-            raise NotInCliffordPart(f"{x} lies in no subgroup")
-        for y in S.h_partition[x]:
-            if S.mul(x, y) == e and S.mul(y, x) == e:
-                return y
-        raise NotInCliffordPart(f"H-class of {x} is not a group")  # unreachable
-    for y in carrier_prefix(S, budget.elements):
+    handles, whose view is the whole carrier; at bound on streams)."""
+    codes = bounded_view(S, budget).codes
+    for y in codes:
         xy = S.mul(x, y)
         if xy == S.mul(y, x) and S.mul(xy, x) == x and S.mul(xy, y) == y:
             return y
-    raise NotInCliffordPart(f"no inverse for {x} found at bound {budget.elements}")
+    raise NotInCliffordPart(f"no inverse for {x} among {len(codes)} codes")
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -345,21 +344,12 @@ def entry_record(entry, budget=DEFAULT_BUDGET, topology=False):
     return json.loads(json.dumps(record))
 
 
-def scan_corpus(entries, budget=DEFAULT_BUDGET, workers=None, topology=False):
-    """Analyze a corpus, merging results in id order regardless of worker
-    scheduling.  Each task builds its own iterators, so entries never share
-    enumeration state."""
+def scan_corpus(entries, budget=DEFAULT_BUDGET, topology=False):
+    """Analyze a corpus, one entry after another; records come back in id
+    order."""
     entries = list(entries)
     ids = [e.id for e in entries]
     if len(set(ids)) != len(ids):
         raise BadParameter("corpus entry ids must be unique")
-
-    def work(entry):
-        return entry_record(entry, budget, topology=topology)
-
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(work, entries))
-    else:
-        records = [work(e) for e in entries]
+    records = [entry_record(e, budget, topology=topology) for e in entries]
     return sorted(records, key=lambda r: r["id"])

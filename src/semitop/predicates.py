@@ -20,10 +20,10 @@ from typing import Optional
 from .core import (
     DEFAULT_BUDGET,
     Budget,
+    Prefix,
+    bounded_view,
     carrier_prefix,
-    center,
     clifford_parts,
-    idempotents,
     is_finite,
     natural_order,
     power,
@@ -156,49 +156,12 @@ def _singular_search(S, budget):
     return None, None, best
 
 
-def _certified_subgroup_members(S, e, pre):
-    """Prefix elements certified inside the subgroup H-class of e: fixed by
-    e on both sides, with a two-sided multiplier back to e in the prefix."""
-    out = []
-    for x in pre:
-        if S.mul(e, x) != x or S.mul(x, e) != x:
-            continue
-        if x == e or any(S.mul(x, v) == e and S.mul(v, x) == e for v in pre):
-            out.append(x)
-    return out
-
-
-def _certified_clifford_members(S, pre, sample_idempotents=4):
-    """Prefix elements certified inside some subgroup: all idempotents plus
-    certified members of the first few subgroup H-classes."""
-    idem = [x for x in pre if S.mul(x, x) == x]
-    members = set(idem)
-    for e in idem[:sample_idempotents]:
-        members.update(_certified_subgroup_members(S, e, pre))
-    return members, idem
-
-
-def _orbit_profile(S, budget):
-    """Least idempotent-power exponents over a prefix sample; elements whose
-    orbit shows none within the per-element step cap are listed as divergent."""
-    pre = carrier_prefix(S, budget.elements)
-    sample = pre[:min(64, len(pre))]
-    cap = max(8, budget.steps // max(1, len(sample)))
-    exponents = {}
-    divergent = []
-    for x in sample:
-        p = x
-        hit = None
-        for n in range(1, cap + 1):
-            if S.mul(p, p) == p:
-                hit = n
-                break
-            p = S.mul(p, x)
-        if hit is None:
-            divergent.append(x)
-        else:
-            exponents[x] = hit
-    return exponents, divergent, cap
+def _clifford_members(view, sample_idempotents=4):
+    """Prefix codes certified inside some subgroup: every idempotent plus
+    the members of the first few subgroups."""
+    sampled = set(view.idempotents[:sample_idempotents])
+    return set(view.idempotents) | {x for x, e in view.subgroup_of.items()
+                                    if e in sampled}
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +207,7 @@ def periodic(S, budget=DEFAULT_BUDGET):
     """Every element has an idempotent power."""
     if is_finite(S):
         return Verdict(HOLDS, "finite", {"kind": "finite"}, budget)
-    exponents, divergent, cap = _orbit_profile(S, budget)
+    exponents, divergent, cap = bounded_view(S, budget).orbit_profile
     evidence = {"kind": "orbit_profile", "inspected": len(exponents) + len(divergent),
                 "divergent_at_bound": divergent[:8], "step_cap": cap}
     # neither direction is decidable by search: divergence may resolve past
@@ -286,7 +249,7 @@ def bounded(S, budget=DEFAULT_BUDGET):
     if is_finite(S):
         n = least_uniform_exponent(S)
         return Verdict(HOLDS, "finite", {"kind": "uniform_exponent", "n": n}, budget)
-    exponents, divergent, cap = _orbit_profile(S, budget)
+    exponents, divergent, cap = bounded_view(S, budget).orbit_profile
     evidence = {"kind": "orbit_profile", "divergent_at_bound": divergent[:8],
                 "max_exponent_seen": max(exponents.values(), default=None),
                 "step_cap": cap}
@@ -294,7 +257,7 @@ def bounded(S, budget=DEFAULT_BUDGET):
     if verdict is not None and verdict.holds:
         n = _facts(S).get("bound_exponent", evidence["max_exponent_seen"])
         if n is not None:
-            for x in carrier_prefix(S, min(64, budget.elements)):
+            for x in bounded_view(S, budget).codes[:64]:
                 xn = power(S, x, n)
                 if S.mul(xn, xn) != xn:
                     raise CorpusIntegrityError(
@@ -313,10 +276,9 @@ def group_finite(S, budget=DEFAULT_BUDGET):
         return Verdict(HOLDS, "finite",
                        {"kind": "finite", "largest_subgroup": biggest[0],
                         "at_idempotent": biggest[1]}, budget)
-    pre = carrier_prefix(S, budget.elements)
-    idem = [x for x in pre if S.mul(x, x) == x]
-    for e in idem[:4]:
-        members = _certified_subgroup_members(S, e, pre)
+    view = bounded_view(S, budget)
+    for e in view.idempotents[:4]:
+        members = list(view.subgroup(e))
         # half the element budget of certified members counts as growth
         # evidence at bound (the prefix boundary can clip a few inverses)
         if len(members) >= max(2, budget.elements // 2):
@@ -355,10 +317,10 @@ def clifford(S, budget=DEFAULT_BUDGET):
                            {"kind": "residue", "sample": list(residue[:8]),
                             "size": len(residue)}, budget)
         return Verdict(HOLDS, "finite", {"kind": "finite"}, budget)
-    pre = carrier_prefix(S, budget.elements)
-    members, _ = _certified_clifford_members(S, pre)
+    view = bounded_view(S, budget)
+    members = _clifford_members(view)
     evidence = {"kind": "certified_fraction", "certified": len(members),
-                "prefix": len(pre)}
+                "prefix": len(view.codes)}
     return _declared(S, "clifford", budget, evidence) or Verdict(
         UNKNOWN, "search", evidence, budget)
 
@@ -368,8 +330,7 @@ def clifford_finite(S, budget=DEFAULT_BUDGET):
     if is_finite(S):
         part = set(S.subgroup_idempotent)
         return Verdict(HOLDS, "finite", {"kind": "finite", "size": len(part)}, budget)
-    pre = carrier_prefix(S, budget.elements)
-    members, _ = _certified_clifford_members(S, pre)
+    members = _clifford_members(bounded_view(S, budget))
     if len(members) >= max(2, budget.elements // 2):
         _guard_declaration(S, "clifford_finite", FAILS)
         sample = sorted(members)[:32]
@@ -389,10 +350,11 @@ def clifford_plus_finite(S, budget=DEFAULT_BUDGET):
                        {"kind": "finite", "residue_size": len(residue)}, budget)
     # an infinite residue cannot be certified by search (membership in the
     # subgroup union is only semi-decidable), so streams rely on declarations
-    pre = carrier_prefix(S, budget.elements)
-    members, _ = _certified_clifford_members(S, pre)
+    view = bounded_view(S, budget)
+    members = _clifford_members(view)
     evidence = {"kind": "uncertified_fraction",
-                "uncertified": len(pre) - len(members), "prefix": len(pre)}
+                "uncertified": len(view.codes) - len(members),
+                "prefix": len(view.codes)}
     return _declared(S, "clifford_plus_finite", budget, evidence) or Verdict(
         UNKNOWN, "search", evidence, budget)
 
@@ -404,15 +366,15 @@ def clifford_singular(S, budget=DEFAULT_BUDGET):
     union (by declared part codes when available) with A*A inside it."""
     if is_finite(S):
         return Verdict(FAILS, "finite", {"kind": "finite"}, budget)
-    pre = carrier_prefix(S, budget.elements)
-    members, _ = _certified_clifford_members(S, pre)
+    view = bounded_view(S, budget)
+    members = _clifford_members(view)
     declared_part = _facts(S).get("clifford_part_codes")
     part = set(declared_part) if declared_part is not None else members
 
     def in_part(x):
         return x in part or S.mul(x, x) == x
 
-    candidates = [x for x in pre if not in_part(x)]
+    candidates = [x for x in view.codes if not in_part(x)]
     # the pool excludes the subgroup union, so cap the target by what exists
     target = max(2, min(budget.elements, len(candidates)))
     group = []
@@ -442,7 +404,7 @@ def eventually_clifford(S, budget=DEFAULT_BUDGET):
     if is_finite(S):
         # finite semigroups are periodic, so some power is idempotent
         return Verdict(HOLDS, "finite", {"kind": "finite"}, budget)
-    exponents, divergent, cap = _orbit_profile(S, budget)
+    exponents, divergent, cap = bounded_view(S, budget).orbit_profile
     evidence = {"kind": "orbit_profile", "divergent_at_bound": divergent[:8],
                 "step_cap": cap}
     return _declared(S, "eventually_clifford", budget, evidence) or Verdict(
@@ -458,12 +420,11 @@ def unipotent(S, budget=DEFAULT_BUDGET):
                            budget)
         return Verdict(FAILS, "finite",
                        {"kind": "idempotent_pair", "pair": list(idem[:2])}, budget)
-    pre = carrier_prefix(S, budget.elements)
-    idem = [x for x in pre if S.mul(x, x) == x]
+    idem = bounded_view(S, budget).idempotents
     if len(idem) >= 2:
         _guard_declaration(S, "unipotent", FAILS)
         return Verdict(FAILS, "search",
-                       {"kind": "idempotent_pair", "pair": idem[:2]}, budget)
+                       {"kind": "idempotent_pair", "pair": list(idem[:2])}, budget)
     evidence = {"kind": "search_exhausted", "idempotents_seen": len(idem)}
     return _declared(S, "unipotent", budget, evidence) or Verdict(
         UNKNOWN, "search", evidence, budget)
@@ -477,7 +438,7 @@ def commutative(S, budget=DEFAULT_BUDGET):
                     if S.mul(x, y) != S.mul(y, x))
         return Verdict(FAILS, "finite",
                        {"kind": "noncommuting_pair", "pair": list(pair)}, budget)
-    pre = carrier_prefix(S, budget.elements)
+    pre = bounded_view(S, budget).codes
     examined = 0
     for i, x in enumerate(pre):
         for y in pre[i + 1:]:
@@ -517,6 +478,7 @@ IMPLICATIONS = [
     ("group_finite", "group_bounded"),
     ("clifford", "eventually_clifford"),
     ("clifford_finite", "group_finite"),
+    ("clifford_finite", "chain_finite"),
 ]
 
 
@@ -564,13 +526,10 @@ def replay(S, name, verdict, budget=None):
             S.mul(x, y) == c for x in elems for y in elems)
     if kind == "subgroup_growth":
         e = w["idempotent"]
-        pre = carrier_prefix(S, budget.elements)
-        sample = w["sample"]
-        certified = set(_certified_subgroup_members(S, e, pre))
-        return S.mul(e, e) == e and all(x in certified for x in sample)
+        certified = set(Prefix(S, budget).subgroup(e))
+        return S.mul(e, e) == e and all(x in certified for x in w["sample"])
     if kind == "clifford_growth":
-        pre = carrier_prefix(S, budget.elements)
-        members, _ = _certified_clifford_members(S, pre)
+        members = _clifford_members(Prefix(S, budget))
         return all(x in members for x in w["sample"])
     if kind == "singular_into_subgroups":
         part = set(w["products_within"])

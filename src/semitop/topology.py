@@ -18,11 +18,11 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .core import (
     DEFAULT_BUDGET,
     CarrierSet,
+    bounded_view,
     carrier_prefix,
     central_idempotents,
     is_finite,
@@ -47,21 +47,6 @@ NONISOLATION_TAU = 32
 def _leq(S, x, y):
     """Natural order among idempotents: x <= y iff xy == yx == x."""
     return S.mul(x, y) == x and S.mul(y, x) == x
-
-
-def _centrality_test(S, budget):
-    """A pointwise centrality check and whether it is exact.
-
-    Finite handles test against the whole carrier.  Streams declared
-    commutative need no test; otherwise elements are certified against a
-    fixed prefix of witnesses, which can only over-accept."""
-    if is_finite(S):
-        cen = frozenset(S.center_codes)
-        return (lambda x: x in cen), True
-    if (S.declared_facts or {}).get("commutative"):
-        return (lambda x: True), True
-    witnesses = carrier_prefix(S, min(64, budget.elements))
-    return (lambda x: all(S.mul(x, w) == S.mul(w, x) for w in witnesses)), False
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +169,9 @@ class EBase:
     central idempotents, for kind Z of idempotents (centrality is not
     required there, matching the asymmetry of the three definitions).
 
-    The base owns the central idempotents at its budget (``central_pool``),
-    computed once on first use; parameter sampling and ``is_regular`` both
-    read it, so one certification scans the center once."""
+    Centrality, subgroup membership and the central idempotents come from
+    the handle's bounded view at the base's budget (``view``), so every
+    base and certificate on one handle scans the center once."""
 
     def __init__(self, S, e, kind="E", budget=DEFAULT_BUDGET):
         if kind not in ("E", "H", "Z"):
@@ -197,11 +182,10 @@ class EBase:
         self.e = e
         self.kind = kind
         self.budget = budget
-        self._central, self._central_exact = _centrality_test(S, budget)
-        if not self._central(e):
+        self.view = bounded_view(S, budget)
+        if not self.view.central(e):
             raise BadParameter(f"{e} is not central (at bound)")
         self._memo_members = {}
-        self._memo_hidem = {}
 
     # -- parameter handling
 
@@ -212,7 +196,7 @@ class EBase:
                 raise BadParameter(f"parameter {f} is not idempotent")
             if _leq(S, f, self.e):
                 raise BadParameter(f"parameter {f} lies below the anchor {self.e}")
-            if self.kind in ("E", "H") and not self._central(f):
+            if self.kind in ("E", "H") and not self.view.central(f):
                 raise BadParameter(f"parameter {f} is not central (at bound)")
 
     def normalize(self, params):
@@ -238,23 +222,11 @@ class EBase:
     def default_params(self):
         return (1, ()) if self.kind == "Z" else ()
 
-    @cached_property
-    def central_pool(self):
-        """The central idempotents at the base's budget."""
-        return central_idempotents(self.S, self.budget).elements
-
     def parameter_pool(self):
         """Idempotents usable inside F, from the enumeration prefix."""
-        S = self.S
-        if self.kind == "Z":
-            if is_finite(S):
-                pool = S.idempotent_codes
-            else:
-                pool = tuple(x for x in carrier_prefix(S, self.budget.elements)
-                             if S.mul(x, x) == x)
-        else:
-            pool = self.central_pool
-        return tuple(f for f in pool if not _leq(S, f, self.e))
+        view = self.view
+        pool = view.idempotents if self.kind == "Z" else view.central_idempotents
+        return tuple(f for f in pool if not _leq(self.S, f, self.e))
 
     def sample_params(self, rng, count, max_f=4):
         """Deterministic parameter sample; the unconstrained member first.
@@ -287,64 +259,45 @@ class EBase:
     def _above_some(self, F, f):
         return any(_leq(self.S, g, f) for g in F)
 
-    def _h_idempotent(self, x):
-        """The idempotent of x's subgroup, or None (at bound on streams)."""
-        S = self.S
-        if x in self._memo_hidem:
-            return self._memo_hidem[x]
-        if is_finite(S):
-            out = S.subgroup_idempotent.get(x)
-        else:
-            out = None
-            pre = carrier_prefix(S, self.budget.elements)
-            for f in pre:
-                if S.mul(f, f) != f or S.mul(f, x) != x or S.mul(x, f) != x:
-                    continue
-                if any(S.mul(x, v) == f and S.mul(v, x) == f for v in pre):
-                    out = f
-                    break
-        self._memo_hidem[x] = out
-        return out
-
     def member(self, params):
         """The instantiated basic set as a lazy CarrierSet."""
         params = self.normalize(params)
         if params in self._memo_members:
             return self._memo_members[params]
         S = self.S
-        exact = is_finite(S)
+        central = self.view.central
         if self.kind == "E":
             F = params
 
             def pred(x):
                 return (self._in_quotient(x) and S.mul(x, x) == x
-                        and self._central(x) and not self._above_some(F, x))
+                        and central(x) and not self._above_some(F, x))
 
             def gen():
                 return (x for x in self._carrier_iter() if pred(x))
 
-            out = CarrierSet(pred, gen, exact=exact or self._central_exact)
+            out = CarrierSet(pred, gen, exact=self.view.central_exact)
         elif self.kind == "H":
             F = params
 
             def pred(x):
-                if not (self._in_quotient(x) and self._central(x)):
+                if not (self._in_quotient(x) and central(x)):
                     return False
-                f = self._h_idempotent(x)
+                f = self.view.subgroup_idempotent(x)
                 return f is not None and not self._above_some(F, f)
 
             def gen():
                 return (x for x in self._carrier_iter() if pred(x))
 
-            out = CarrierSet(pred, gen, exact=exact)
+            out = CarrierSet(pred, gen, exact=self.view.exact)
         else:
             n, F = params
 
             def qualifies(z):
-                if not (self._in_quotient(z) and self._central(z)):
+                if not (self._in_quotient(z) and central(z)):
                     return False
                 pi = self._power_idempotent(z)
-                return (pi is not None and self._central(pi)
+                return (pi is not None and central(pi)
                         and not self._above_some(F, pi))
 
             def gen():
@@ -370,7 +323,7 @@ class EBase:
                         return True
                 return False
 
-            out = CarrierSet(pred, gen, exact=exact)
+            out = CarrierSet(pred, gen, exact=self.view.exact)
         self._memo_members[params] = out
         return out
 
@@ -545,12 +498,12 @@ def is_regular(S, e, base, b, budget=DEFAULT_BUDGET):
     least central idempotent fixing b, forcing products to stay above it
     while b is not.  A candidate survives when a bounded product scan
     finds no hit; the verdict is definite only if the scan was
-    exhaustive.  The central idempotents come from the base, which
-    computes them once at its own budget (callers pass that budget)."""
+    exhaustive.  The central idempotents come from the base's view, at the
+    base's budget (callers pass that budget)."""
     be = S.mul(b, e)
     if be == b:
         raise Inapplicable("b is fixed by e; nothing to separate")
-    least = _least_fixing_idempotent(S, b, base.central_pool)
+    least = _least_fixing_idempotent(S, b, base.view.central_idempotents)
     if least is not None and _leq(S, least, e):
         raise CertificationFailed(
             "regularity-construction",
@@ -637,7 +590,7 @@ def sufficient_regularity(S, e, base, mode="E", sample=16,
         bad = None
         for v in vpre:
             if base.kind in ("E", "H"):
-                f = v if S.mul(v, v) == v else base._h_idempotent(v)
+                f = v if S.mul(v, v) == v else base.view.subgroup_idempotent(v)
                 if f is None or any(_leq(S, g, f) for g in F):
                     bad = v
                     break

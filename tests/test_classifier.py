@@ -1,16 +1,19 @@
 """Classification rules, center propagation, and implication consistency."""
 
+from metering import capped
+
 from semitop.builders import (
     adjoin_identity,
     left_zero,
+    natmin,
     standard_finite_corpus,
     stream_corpus,
     zero_semigroup,
 )
 from semitop.classify import classify, implication_violations
-from semitop.core import Budget
+from semitop.core import Budget, direct_product
 from semitop.corpus import enumerate_finite
-from semitop.predicates import FAILS, HOLDS, UNKNOWN
+from semitop.predicates import FAILS, HOLDS, UNKNOWN, Verdict
 
 BUDGET = Budget(64, 2048)
 STREAMS = dict(stream_corpus())
@@ -93,6 +96,32 @@ def test_noncommutative_stream_blocked_through_center():
         assert v.fails, kind
         assert v.witness["kind"] == "center_necessary"
         assert "chain_finite" in v.witness["failing"]["failing"]
+
+
+def test_empty_stream_center_is_unknown_not_a_hang():
+    # no element of leftzero:2 x natmin is central, so an unbounded probe
+    # would filter the infinite carrier forever
+    S = capped(direct_product(left_zero(2), natmin()), 100_000)
+    report = classify(S, Budget(256, 4096))
+    assert report.commutative.fails and report.center.empty
+    cfin = report.center.center_finite
+    assert cfin.status == UNKNOWN and cfin.source == "search"
+    assert cfin.witness == {"kind": "center_probe_empty", "scanned": 4096}
+    assert report.theorems["absolute_T1S"].status == UNKNOWN
+
+
+def test_intadd_classification_stays_under_its_multiplication_ceiling():
+    # about 58 k products; the ceiling catches the subgroup certificate
+    # recomputed by each Clifford predicate (about 210 k)
+    S = capped(STREAMS["intadd"], 100_000)
+    classify(S, Budget(256, 4096), name="intadd")
+
+
+def test_t2s_holding_where_closedness_fails_is_flagged():
+    report = classify(STREAMS["flat"], BUDGET, name="flat")
+    report.theorems["injective_T2S"] = Verdict(HOLDS, "search", None, BUDGET)
+    report.theorems["C_closed"] = Verdict(FAILS, "search", None, BUDGET)
+    assert ("injective_T2S", "C_closed") in implication_violations(report)
 
 
 def test_unipotent_rule_agrees_with_general_rule():

@@ -46,13 +46,16 @@ def test_classify_is_byte_deterministic(capsys, fixtures_dir, tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_parallel_scan_writes_identical_bytes(capsys, tmp_path):
-    args = ("classify", "--builder", "cyclic:4", "--builder", "chain:3",
-            "--builder", "natmin", "--budget", "64")
-    serial, parallel = tmp_path / "s.json", tmp_path / "p.json"
-    assert run(capsys, *args, "--out", str(serial))[0] == 0
-    assert run(capsys, *args, "--workers", "4", "--out", str(parallel))[0] == 0
-    assert serial.read_bytes() == parallel.read_bytes()
+def test_stream_reports_match_the_golden_file(capsys, fixtures_dir):
+    # streams-64-1024.json pins the report bytes of the seven streams; a
+    # change to them must come with a regenerated file and a reason
+    argv = ["classify", "--budget-elems", "64", "--budget-steps", "1024"]
+    for name in ("natmin", "natplus", "nullstream", "nilstream", "flat",
+                 "intadd", "prodcenter"):
+        argv += ["--builder", name]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.encode() == (fixtures_dir / "streams-64-1024.json").read_bytes()
 
 
 def test_budget_shorthand_lands_in_config(capsys):

@@ -1,11 +1,13 @@
 """Core structure: tables, orders, H-classes, powers, constructions."""
 
+import dataclasses
 import itertools
 
 import pytest
 from hypothesis import given, strategies as st
 
 import oracle_brute as ob
+from metering import capped
 
 from semitop.builders import (
     chain_semilattice,
@@ -17,13 +19,16 @@ from semitop.builders import (
     monogenic as monogenic_builder,
     natmin,
     standard_finite_corpus,
+    stream_corpus,
     zero_semigroup,
 )
 from semitop.core import (
     Budget,
     adjoin_identity,
     adjoin_zero,
+    bounded_view,
     build_finite,
+    build_stream,
     carrier_prefix,
     center,
     clifford_parts,
@@ -149,6 +154,37 @@ def test_clifford_parts_cover_group_union():
     assert sorted(dec.idempotents) == [0, 1, 3]
     assert set(dec.classes[1]) == {1, 2}
     assert set(dec.classes[3]) == {3, 4, 5}
+
+
+def test_stream_view_matches_the_finite_structure_maps():
+    # a finite table given as a stream whose prefix is the whole carrier:
+    # the inverse-witness certificate must find every subgroup exactly
+    budget = Budget(16, 256)
+    for name, S in standard_finite_corpus():
+        stream = build_stream(name, S.mul, lambda n=S.size: iter(range(n)))
+        view = bounded_view(stream, budget)
+        assert view.idempotents == S.idempotent_codes, name
+        assert view.center == S.center_codes, name
+        assert view.subgroup_of == S.subgroup_idempotent, name
+        assert clifford_parts(stream, budget).classes == clifford_parts(S).classes, name
+
+
+def test_bounded_view_is_kept_per_handle_and_budget():
+    S = natmin()
+    budget = Budget(32, 512)
+    assert bounded_view(S, budget) is bounded_view(S, budget)
+    assert bounded_view(S, Budget(16, 512)) is not bounded_view(S, budget)
+    # a replaced copy (another mul) starts with no views
+    assert bounded_view(dataclasses.replace(S), budget) is not bounded_view(S, budget)
+
+
+def test_stream_clifford_parts_stay_under_their_multiplication_ceiling():
+    # at most about 0.17 M products each; divisibility witnesses for every
+    # (idempotent, element) pair cost 18 M to 20 M on natmin, flat and
+    # prodcenter
+    for name, plain in stream_corpus():
+        S = capped(plain, 250_000)
+        clifford_parts(S, Budget(256, 4096))
 
 
 def test_monogenic_index_and_period():

@@ -201,15 +201,6 @@ def test_scan_rejects_duplicate_ids():
         scan_corpus(entries, BUDGET)
 
 
-def test_parallel_scan_matches_serial():
-    names = ["cyclic:4", "chain:3", "zero:3", "natmin", "flat"]
-    entries = [entry_from_builder(n) for n in names]
-    serial = scan_corpus(entries, BUDGET, workers=1)
-    entries2 = [entry_from_builder(n) for n in names]
-    parallel = scan_corpus(entries2, BUDGET, workers=4)
-    assert serial == parallel
-
-
 def test_scan_orders_records_by_id():
     entries = [entry_from_builder(n) for n in ["zero:2", "cyclic:2", "flat:2"]]
     records = scan_corpus(entries, BUDGET)

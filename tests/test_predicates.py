@@ -21,8 +21,10 @@ from semitop.predicates import (
     FAILS,
     HOLDS,
     UNKNOWN,
+    Verdict,
     bounded,
     chain_finite,
+    check_suite_consistency,
     clifford_finite,
     commutative,
     conjunction_status,
@@ -147,6 +149,13 @@ def test_declared_bound_exponent_is_spot_checked():
 def test_suite_consistency_holds_everywhere():
     for name, S in stream_corpus():
         evaluate_suite(S, BUDGET)  # raises CorpusIntegrityError on violation
+
+
+def test_finite_clifford_part_with_a_long_chain_is_flagged():
+    suite = evaluate_suite(zero_semigroup(2), BUDGET)
+    suite["chain_finite"] = Verdict(FAILS, "search", None, BUDGET)
+    with pytest.raises(CorpusIntegrityError, match="clifford_finite holds"):
+        check_suite_consistency(suite, "synthetic")
 
 
 def test_replay_rejects_inflated_chain_length():
