@@ -148,11 +148,55 @@ class FiniteSemigroup:
         return out
 
 
+def generators(t):
+    """A generating set of the table ``t``, found greedily: the codes that
+    are no product come first, then, while right multiplication by the
+    generators leaves some code unreached, the least unreached code.
+
+    Every code is then a left-normed product of generators, even when ``t``
+    does not associate; each (reached code, generator) product is formed
+    once, so the search costs O(n * |generators|) lookups."""
+    n = len(t)
+    image = set().union(*t)
+    gens = [x for x in range(n) if x not in image]
+    reached = set(gens)
+    frontier = list(gens)
+    least = 0
+    while True:
+        while frontier:
+            row = t[frontier.pop()]
+            for g in gens:
+                y = row[g]
+                if y not in reached:
+                    reached.add(y)
+                    frontier.append(y)
+        if len(reached) == n:
+            return gens
+        while least in reached:
+            least += 1
+        g = least
+        gens.append(g)
+        # the codes closed so far owe one product each with the new generator
+        fresh = {t[x][g] for x in reached}
+        fresh.add(g)
+        fresh -= reached
+        reached |= fresh
+        frontier = list(fresh)
+
+
 def build_finite(table, labels=None):
     """Validate a Cayley table (row index = left factor) and wrap it.
 
     Raises MalformedTable on shape or range problems and NonAssociative
-    with a witness triple if some (a*b)*c differs from a*(b*c).
+    with a witness triple if some (a*b)*c differs from a*(b*c): the
+    lexicographically first such triple.
+
+    Associativity is Light's test (Clifford & Preston, *The Algebraic
+    Theory of Semigroups* I, section 1.2): the middles m with (x*m)*y ==
+    x*(m*y) for all x, y are closed under the product, so checking the
+    middles of one generating set suffices.  That costs O(n^2 * |gens|);
+    only tables whose every element is a generator (a chain, the flat
+    semilattice) stay cubic.
     """
     rows = [tuple(row) for row in table]
     n = len(rows)
@@ -166,16 +210,14 @@ def build_finite(table, labels=None):
                 raise MalformedTable(f"entry {v!r} out of range 0..{n - 1}")
     t = tuple(rows)
     # (a*b)*c == a*(b*c) for all c at once: row a*b must equal row a read
-    # through row b, compose[b](t[a]).  n == 1 is skipped: the only 1x1
-    # table, [[0]], associates, and itemgetter of one index returns a scalar.
-    if n > 1:
-        compose = [operator.itemgetter(*row) for row in t]
-        for a in range(n):
-            ta = t[a]
-            for b in range(n):
-                if t[ta[b]] != compose[b](ta):
-                    c = next(c for c in range(n) if t[ta[b]][c] != ta[t[b][c]])
-                    raise NonAssociative(a, b, c)
+    # through row b.  Only a failing table pays for the scan over every
+    # middle, which finds the first triple.  n == 1 is skipped: the only
+    # 1x1 table, [[0]], associates, and itemgetter of one index returns a
+    # scalar.
+    if n > 1 and _first_failure(t, generators(t)) is not None:
+        a, b = _first_failure(t, range(n))
+        c = next(c for c in range(n) if t[t[a][b]][c] != t[a][t[b][c]])
+        raise NonAssociative(a, b, c)
     if labels is None:
         labels = tuple(str(i) for i in range(n))
     else:
@@ -183,6 +225,17 @@ def build_finite(table, labels=None):
         if len(labels) != n:
             raise MalformedTable("label count does not match table size")
     return FiniteSemigroup(table=t, labels=labels)
+
+
+def _first_failure(t, middles):
+    """The first (a, b), a in code order and b in ``middles`` order, whose
+    row a*b differs from row a read through row b; None if there is none."""
+    checks = [(b, operator.itemgetter(*t[b])) for b in middles]
+    for a, ta in enumerate(t):
+        for b, compose in checks:
+            if t[ta[b]] != compose(ta):
+                return a, b
+    return None
 
 
 @dataclass
@@ -306,7 +359,10 @@ class Prefix:
     @cached_property
     def center(self):
         """Codes commuting with every code: on a stream neither an under-
-        nor an over-approximation of the center."""
+        nor an over-approximation of the center.  A stream declared
+        commutative is its own center."""
+        if self.central_exact:
+            return self.codes
         mul, pre = self.S.mul, self.codes
         return tuple(z for z in pre if all(mul(z, x) == mul(x, z) for x in pre))
 

@@ -66,6 +66,27 @@ def _int_token(token, lineno, column, upper=None):
     return value
 
 
+def _row(content, lineno, size):
+    """One table row of ``size`` indices.  ``str.split`` and the token
+    regex break on the same whitespace and both read tokens with ``int``,
+    so the token path is taken only to locate and word the error."""
+    try:
+        row = [int(t) for t in content.split()]
+    except ValueError:
+        row = None
+    if row and len(row) == size and 0 <= min(row) and max(row) < size:
+        return row
+    return _token_row(content, lineno, size)
+
+
+def _token_row(content, lineno, size):
+    toks = _tokens(content)
+    if len(toks) != size:
+        col = toks[size][1] if len(toks) > size else len(content) + 1
+        raise ParseError(f"row must hold {size} entries, found {len(toks)}", lineno, col)
+    return [_int_token(t, lineno, col, upper=size) for t, col in toks]
+
+
 def parse_cayley(text):
     """Parse Cayley text into a validated finite semigroup.
 
@@ -103,12 +124,7 @@ def parse_cayley(text):
             raise ParseError(
                 f"expected {size} table rows, found {len(rows)}", last_line + 1, 1)
         last_line = lineno
-        toks = _tokens(content)
-        if len(toks) != size:
-            col = toks[size][1] if len(toks) > size else len(content) + 1
-            raise ParseError(
-                f"row must hold {size} entries, found {len(toks)}", lineno, col)
-        rows.append([_int_token(t, lineno, col, upper=size) for t, col in toks])
+        rows.append(_row(content, lineno, size))
 
     extra = next(lines, None)
     if extra is not None:

@@ -357,19 +357,6 @@ def ebase_Z(S, e, n=1, F=(), budget=DEFAULT_BUDGET):
 # validation of arbitrary (custom) indexed families
 
 @dataclass
-class CustomBase:
-    """A user-supplied constant family: explicit member sets, no refinement
-    rule.  Exists so validation failures can be demonstrated in tests."""
-
-    S: object
-    e: int
-    members: list
-
-    def member_sets(self):
-        return list(enumerate(self.members))
-
-
-@dataclass
 class ValidationReport:
     ok: bool
     checked: dict
@@ -378,7 +365,9 @@ class ValidationReport:
 
 
 def validate_remote_base(S, base, sample=16, budget=DEFAULT_BUDGET, seed=0):
-    """Sampled check of the two base laws.
+    """Sampled check of the two base laws on ``base``: an ``EBase``, or
+    any constant family with an anchor ``e`` and ``member_sets()``, a list
+    of (index, CarrierSet) pairs.
 
     Law 1 (directedness and confinement): every pair of members must
     contain a third inside their intersection, itself inside e/e and the

@@ -2,6 +2,8 @@
 
 import dataclasses
 import itertools
+import operator
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -33,6 +35,7 @@ from semitop.core import (
     center,
     clifford_parts,
     direct_product,
+    generators,
     group_inverse,
     h_class,
     idempotents,
@@ -42,6 +45,7 @@ from semitop.core import (
     power_projection,
     restrict,
 )
+from semitop.corpus import enumerate_finite
 from semitop.errors import (
     MalformedTable,
     NonAssociative,
@@ -84,6 +88,96 @@ def test_validator_agrees_with_naive_associativity(n, data):
         with pytest.raises(NonAssociative) as err:
             build_finite(table)
         assert err.value.triple == first
+
+
+def _left_normed_closure(t, gens):
+    reached = set(gens)
+    frontier = list(gens)
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            if t[x][g] not in reached:
+                reached.add(t[x][g])
+                frontier.append(t[x][g])
+    return reached
+
+
+def test_generators_of_every_order_3_semigroup_generate_it():
+    for S in enumerate_finite(3):
+        assert _left_normed_closure(S.table, generators(S.table)) == {0, 1, 2}
+
+
+@given(st.integers(1, 5), st.data())
+def test_generators_of_any_magma_generate_it(n, data):
+    # Light's test leans on this closure even when the table does not
+    # associate, so it is drawn over all operation tables
+    flat = data.draw(st.lists(st.integers(0, n - 1), min_size=n * n,
+                              max_size=n * n))
+    table = tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
+    gens = generators(table)
+    assert len(set(gens)) == len(gens)
+    assert _left_normed_closure(table, gens) == set(range(n))
+    assert all(g in gens for g in range(n)
+               if all(g not in row for row in table))
+
+
+def test_generators_reuse_what_earlier_generators_reached():
+    # Z6 x (leftzero:4 with an identity 4), code 5a + b: block 0 needs all
+    # five codes; then each earlier code times (1, 0) = 5 reaches (1, b)
+    # for every left zero b, and so every (k, b), leaving only (1, 4) = 9
+    S = direct_product(cyclic_group(6), adjoin_identity(left_zero(4)))
+    assert generators(S.table) == [0, 1, 2, 3, 4, 5, 9]
+    assert generators(cyclic_group(256).table) == [0, 1]
+    assert generators(chain_semilattice(5).table) == [0, 1, 2, 3, 4]
+
+
+def _naive_first_triple(t):
+    """The first (a, b, c) in lexicographic order with (ab)c != a(bc),
+    over every middle b, or None."""
+    n = len(t)
+    for a in range(n):
+        for b in range(n):
+            if t[t[a][b]] != operator.itemgetter(*t[b])(t[a]):
+                return a, b, next(c for c in range(n)
+                                  if t[t[a][b]][c] != t[a][t[b][c]])
+    return None
+
+
+@pytest.mark.parametrize("name,make", [
+    ("cyclic256", lambda: cyclic_group(256)),
+    ("cyclic16xcyclic16", lambda: direct_product(cyclic_group(16), cyclic_group(16))),
+    ("groupunion", lambda: group_union([3, 5, 7, 9])),
+    ("monogenic0", lambda: adjoin_zero(monogenic_builder(5, 12))),
+    ("leftzero1xcyclic", lambda: direct_product(adjoin_identity(left_zero(4)),
+                                                cyclic_group(6))),
+])
+def test_one_corrupted_cell_raises_the_naive_first_triple(name, make):
+    table = make().table
+    n = len(table)
+    rng = random.Random(name)
+    for _ in range(3):
+        rows = [list(row) for row in table]
+        x, y = rng.randrange(n), rng.randrange(n)
+        rows[x][y] = (rows[x][y] + 1 + rng.randrange(n - 1)) % n
+        first = _naive_first_triple(tuple(map(tuple, rows)))
+        assert first is not None
+        with pytest.raises(NonAssociative) as err:
+            build_finite(rows)
+        assert err.value.triple == first
+
+
+def test_cyclic_group_of_order_256_checks_two_middles(monkeypatch):
+    import semitop.core as core
+    checked = []
+    inner = core._first_failure
+
+    def spy(t, middles):
+        checked.append(len(middles))
+        return inner(t, middles)
+
+    monkeypatch.setattr(core, "_first_failure", spy)
+    cyclic_group(256)
+    assert checked == [2]
 
 
 def test_one_element_table_is_the_trivial_semigroup():

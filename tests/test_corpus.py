@@ -1,6 +1,7 @@
 """Parsing, enumeration, canonical forms, and report documents."""
 
 import itertools
+import re
 
 import pytest
 
@@ -9,6 +10,9 @@ import oracle_brute as ob
 from semitop import builders
 from semitop.core import Budget
 from semitop.corpus import (
+    _TOKEN,
+    _row,
+    _token_row,
     COMMUTATIVE_ISO_CLASS_COUNTS,
     COMMUTATIVE_LABELED_COUNTS,
     ISO_CLASS_COUNTS,
@@ -66,6 +70,45 @@ def test_parse_error_positions(text, line, column):
     with pytest.raises(ParseError) as err:
         parse_cayley(text)
     assert (err.value.line, err.value.column) == (line, column)
+
+
+def _row_outcome(read, content, size):
+    try:
+        return read(content, 7, size)
+    except ParseError as err:
+        return str(err), err.line, err.column
+
+
+@pytest.mark.parametrize("content,size", [
+    ("0 1 2", 3),
+    ("-1 0 1", 3),         # negative index
+    ("+1 0 1", 3),         # int() takes a sign
+    ("1_0 0 1", 11),       # ... and digit separators
+    ("1_0 0 1", 3),
+    ("\u0663 0 1", 4),     # ... and non-ASCII digits (ARABIC-INDIC THREE)
+    ("0x1 0 1", 3),        # but not a hex prefix
+    ("1.0 0 1", 3),        # nor a decimal point
+    ("0\t1\t2", 3),
+    ("0\v1\x0c2", 3),
+    ("0\x1c1\x1f2\u3000", 3),
+    ("  0  1   2  ", 3),
+    ("0 1", 3),            # short
+    ("0 1 2 0", 3),        # long
+    ("0 x 1 2", 3),        # long, with a bad token: the length is reported
+    ("0 1 x", 3),
+    ("0 1 3", 3),          # out of range
+    ("  0  9   1", 3),
+])
+def test_split_row_reading_matches_the_token_path(content, size):
+    assert _row_outcome(_row, content, size) == _row_outcome(_token_row, content, size)
+
+
+def test_split_and_the_token_regex_agree_on_whitespace():
+    # str.split() breaks where str.isspace() holds; the token regex at \s
+    everything = "".join(map(chr, range(0x110000)))
+    assert (re.findall(r"\s", everything)
+            == [c for c in everything if c.isspace()])
+    assert _TOKEN.pattern == r"\S+"
 
 
 def test_parser_rejects_non_associative_tables():

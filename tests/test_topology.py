@@ -6,15 +6,19 @@ import itertools
 import pytest
 
 import lemma_suite
+from metering import capped
 
 from semitop.builders import (
     chain_semilattice,
     cyclic_group,
     flat_finite,
     flat_stream,
+    intadd,
     m3,
     natmin,
     natplus,
+    nilstream,
+    nullstream,
 )
 from semitop.core import Budget, CarrierSet
 from semitop.errors import (
@@ -28,7 +32,6 @@ from semitop.errors import (
 from semitop.predicates import HOLDS, UNKNOWN
 from semitop.topology import (
     CertificationSample,
-    CustomBase,
     EBase,
     certify_topology,
     ebase_Z,
@@ -43,6 +46,19 @@ from semitop.topology import (
 )
 
 BUDGET = Budget(256, 4096)
+
+
+@dataclasses.dataclass
+class CustomBase:
+    """A constant family given by explicit member sets, with no refinement
+    rule: what ``validate_remote_base`` accepts besides an ``EBase``."""
+
+    S: object
+    e: int
+    members: list
+
+    def member_sets(self):
+        return list(enumerate(self.members))
 
 
 def _set(elements):
@@ -293,6 +309,13 @@ def test_topologizability_verdicts():
     finite = topologizability_verdict(flat_finite(3))
     assert finite.status == UNKNOWN
     assert finite.witness["kind"] == "inapplicable"
+
+
+@pytest.mark.parametrize("make", [natplus, nullstream, nilstream, intadd])
+def test_commutative_verdict_stays_under_its_multiplication_ceiling(make):
+    # about 260 products; the ceiling catches an n^2 center scan of a
+    # stream declared commutative (131 k at 256 codes)
+    topologizability_verdict(capped(make(), 1_000), BUDGET)
 
 
 # -- randomized law suite ----------------------------------------------------
