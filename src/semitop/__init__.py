@@ -13,6 +13,7 @@ from .core import (
     adjoin_zero,
     build_finite,
     build_stream,
+    carrier,
     carrier_prefix,
     center,
     central_idempotents,
@@ -34,9 +35,6 @@ from .topology import (
     EBase,
     ShiftNeighborhood,
     certify_topology,
-    ebase_E,
-    ebase_H,
-    ebase_Z,
     find_nonisolated_idempotent,
     is_regular,
     left_quotient,

@@ -195,14 +195,14 @@ def flat_stream():
         if e == 0:
             if b == 0:
                 return CarrierSet(lambda x: True, _count_from(0), exact=True)
-            return CarrierSet(lambda x: False, lambda: iter(()), exact=True)
+            return CarrierSet.of(())
         if b == e:
-            return CarrierSet(lambda x: x == e, lambda: iter((e,)), exact=True)
+            return CarrierSet.of((e,))
         if b == 0:
             return CarrierSet(lambda x: x != e,
                               lambda: (x for x in itertools.count(0) if x != e),
                               exact=True)
-        return CarrierSet(lambda x: False, lambda: iter(()), exact=True)
+        return CarrierSet.of(())
 
     facts = {
         "finite": False, "commutative": True, "chain_finite": True,

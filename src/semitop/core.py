@@ -76,6 +76,12 @@ class CarrierSet:
     enumerate_fn: Callable[[], Iterator[int]]
     exact: bool = True
 
+    @classmethod
+    def of(cls, members):
+        """The exact finite set of ``members``, enumerated in the order given."""
+        members = tuple(members)
+        return cls(frozenset(members).__contains__, lambda: iter(members))
+
     def prefix(self, limit):
         out = []
         for x in self.enumerate_fn():
@@ -304,12 +310,16 @@ def label_of(S, x):
     return S.label_fn(x)
 
 
+def carrier(S):
+    """A fresh iterator over every carrier code in enumeration order: the
+    codes 0..n-1 of a finite handle, the endless enumerator of a stream."""
+    return iter(S.elements()) if is_finite(S) else S.enumerate_carrier()
+
+
 def carrier_prefix(S, limit):
     """First ``limit`` carrier codes in enumeration order (all of them on a
     finite handle, still capped at ``limit``)."""
-    if is_finite(S):
-        return list(range(min(S.size, limit)))
-    return list(itertools.islice(S.enumerate_carrier(), limit))
+    return list(itertools.islice(carrier(S), limit))
 
 
 def power(S, x, n):
@@ -370,6 +380,14 @@ class Prefix:
     def central_idempotents(self):
         cen = set(self.center)
         return tuple(x for x in self.idempotents if x in cen)
+
+    @cached_property
+    def central_order(self):
+        """The natural order on ``central_idempotents`` as down-lists: each
+        f maps to the other g with g*f == f*g == g, in pool order."""
+        mul, pool = self.S.mul, self.central_idempotents
+        return {f: [g for g in pool if g != f and mul(g, f) == g and mul(f, g) == g]
+                for f in pool}
 
     @cached_property
     def central_exact(self):
@@ -637,21 +655,24 @@ class MonogenicData:
     exact: bool
 
 
-def monogenic(S, x, budget=DEFAULT_BUDGET):
-    cap = S.size + 1 if is_finite(S) else budget.steps
+def _orbit(S, x, cap):
+    """The one orbit walk: the powers x, x^2, ... mapped to their exponents
+    in order, until a power recurs or ``cap`` are seen, with the index and
+    period of the cycle (None when the cap came first).  A finite handle
+    always recurs within ``S.size + 1`` powers."""
     seen = {}
-    powers = []
     p = x
-    n = 1
-    while n <= cap:
+    for n in range(1, cap + 1):
         if p in seen:
-            i = seen[p]
-            return MonogenicData(x, tuple(powers), index=i, period=n - i, exact=True)
+            return seen, seen[p], n - seen[p]
         seen[p] = n
-        powers.append(p)
         p = S.mul(p, x)
-        n += 1
-    return MonogenicData(x, tuple(powers), index=None, period=None, exact=False)
+    return seen, None, None
+
+
+def monogenic(S, x, budget=DEFAULT_BUDGET):
+    seen, index, period = _orbit(S, x, S.size + 1 if is_finite(S) else budget.steps)
+    return MonogenicData(x, tuple(seen), index, period, exact=index is not None)
 
 
 @dataclass(frozen=True)
@@ -672,19 +693,11 @@ class PowerProjection:
 
 def power_projection(S, x, budget=DEFAULT_BUDGET):
     if is_finite(S):
-        sub = S.subgroup_idempotent
-        p = x
-        n = 1
-        orbit = []
-        while True:
-            orbit.append(p)
-            if p in sub:
-                return PowerProjection("defined", sub[p], n, tuple(orbit))
-            p = S.mul(p, x)
-            n += 1
-            # every element of a finite semigroup has an idempotent power
-            if n > 2 * S.size + 2:  # pragma: no cover - unreachable guard
-                raise AssertionError("orbit failed to reach a subgroup")
+        # x^n lies in a subgroup exactly when n reaches the orbit's index
+        seen, index, _ = _orbit(S, x, S.size + 1)
+        entry = tuple(itertools.islice(seen, index))
+        return PowerProjection("defined", S.subgroup_idempotent[entry[-1]],
+                               index, entry)
     orbit = []
     p = x
     for _ in range(budget.steps):

@@ -21,6 +21,7 @@ from .core import (
     DEFAULT_BUDGET,
     Budget,
     Prefix,
+    _orbit,
     bounded_view,
     carrier_prefix,
     clifford_parts,
@@ -226,21 +227,9 @@ def _lcm(values):
 
 def least_uniform_exponent(S):
     """Smallest n making every x^n idempotent, from orbit indices/periods."""
-    indices = []
-    periods = []
-    for x in S.elements():
-        seen = {}
-        p = x
-        n = 1
-        while p not in seen:
-            seen[p] = n
-            p = S.mul(p, x)
-            n += 1
-        i = seen[p]
-        indices.append(i)
-        periods.append(n - i)
-    lcm = _lcm(periods)
-    top = max(indices)
+    orbits = [_orbit(S, x, S.size + 1) for x in S.elements()]
+    lcm = _lcm(period for _, _, period in orbits)
+    top = max(index for _, index, _ in orbits)
     return lcm * ((top + lcm - 1) // lcm)
 
 
@@ -293,14 +282,8 @@ def group_finite(S, budget=DEFAULT_BUDGET):
 def group_bounded(S, budget=DEFAULT_BUDGET):
     """All subgroups of bounded exponent."""
     if is_finite(S):
-        orders = [1]
-        for x, e in S.subgroup_idempotent.items():
-            k = 1
-            p = x
-            while p != e:
-                p = S.mul(p, x)
-                k += 1
-            orders.append(k)
+        # a subgroup member's orbit is its cycle, so its period is its order
+        orders = [_orbit(S, x, S.size + 1)[2] for x in S.subgroup_idempotent]
         return Verdict(HOLDS, "finite",
                        {"kind": "finite", "exponent": _lcm(orders)}, budget)
     # unboundedness of a subgroup is not witnessable at a bound

@@ -23,10 +23,12 @@ from .core import (
     DEFAULT_BUDGET,
     CarrierSet,
     bounded_view,
+    carrier,
     carrier_prefix,
     central_idempotents,
     is_finite,
     power,
+    power_projection,
 )
 from .errors import (
     BadParameter,
@@ -62,9 +64,7 @@ def left_quotient(S, b, e, budget=DEFAULT_BUDGET, require_exact=False):
     if S.mul(e, e) != e:
         raise NotIdempotent(f"{e} is not idempotent")
     if is_finite(S):
-        members = tuple(x for x in S.elements() if S.mul(x, e) == b)
-        mset = frozenset(members)
-        return CarrierSet(lambda x: x in mset, lambda: iter(members), exact=True)
+        return CarrierSet.of(x for x in S.elements() if S.mul(x, e) == b)
     if S.division_oracle is not None:
         return S.division_oracle(b, e)
     if require_exact:
@@ -72,8 +72,7 @@ def left_quotient(S, b, e, budget=DEFAULT_BUDGET, require_exact=False):
     scan = max(budget.elements, budget.steps)
 
     def gen():
-        return (x for x in itertools.islice(S.enumerate_carrier(), scan)
-                if S.mul(x, e) == b)
+        return (x for x in itertools.islice(carrier(S), scan) if S.mul(x, e) == b)
 
     return CarrierSet(lambda x: S.mul(x, e) == b, gen, exact=False)
 
@@ -94,23 +93,30 @@ class ShiftNeighborhood:
     quotient: CarrierSet
     budget: object = DEFAULT_BUDGET
 
+    def _factors(self, pair_scan):
+        """Prefixes of the quotient and of U, about sqrt(pair_scan) each,
+        and whether their products are the whole shift: both factors
+        exhausted, or one exhausted and empty (which empties the products
+        by itself)."""
+        scan = pair_scan if pair_scan is not None else self.budget.steps
+        side = max(2, int(scan ** 0.5) + 1)
+        qpre, qdone = self.quotient.prefix(side)
+        upre, udone = self.U.prefix(side)
+        complete = ((qdone and udone) or (qdone and not qpre)
+                    or (udone and not upre))
+        return qpre, upre, complete
+
     def membership(self, y, pair_scan=None):
         if y == self.b:
             return "yes", ("base",)
         S = self.S
         if S.mul(y, y) == y and self.quotient.member(y) and self.U.member(y):
             return "yes", (y, y)
-        scan = pair_scan if pair_scan is not None else self.budget.steps
-        side = max(2, int(scan ** 0.5) + 1)
-        qpre, qdone = self.quotient.prefix(side)
-        upre, udone = self.U.prefix(side)
+        qpre, upre, complete = self._factors(pair_scan)
         for q in qpre:
             for u in upre:
                 if S.mul(q, u) == y:
                     return "yes", (q, u)
-        # an exhausted empty factor empties the product set by itself
-        complete = ((qdone and udone) or (qdone and not qpre)
-                    or (udone and not upre))
         return ("no", None) if complete else ("unknown", None)
 
     def contains(self, y, pair_scan=None):
@@ -125,10 +131,7 @@ class ShiftNeighborhood:
 
     def prefix(self, limit, pair_scan=None):
         """Members discovered by a bounded diagonal product scan."""
-        scan = pair_scan if pair_scan is not None else self.budget.steps
-        side = max(2, int(scan ** 0.5) + 1)
-        qpre, qdone = self.quotient.prefix(side)
-        upre, udone = self.U.prefix(side)
+        qpre, upre, complete = self._factors(pair_scan)
         out = [self.b]
         seen = {self.b}
         for q in qpre:
@@ -139,16 +142,13 @@ class ShiftNeighborhood:
                     out.append(p)
                     if len(out) >= limit:
                         return out, False
-        return out, ((qdone and udone) or (qdone and not qpre)
-                     or (udone and not upre))
+        return out, complete
 
 
 def shift(S, e, b, U, budget=DEFAULT_BUDGET):
     """Build the neighborhood {b} | (b/e)*U for a set-like U."""
     if not isinstance(U, CarrierSet):
-        members = tuple(U)
-        mset = frozenset(members)
-        U = CarrierSet(lambda x: x in mset, lambda: iter(members), exact=True)
+        U = CarrierSet.of(U)
     quotient = left_quotient(S, b, e, budget)
     return ShiftNeighborhood(S, e, b, U, quotient, budget)
 
@@ -169,9 +169,12 @@ class EBase:
     central idempotents, for kind Z of idempotents (centrality is not
     required there, matching the asymmetry of the three definitions).
 
-    Centrality, subgroup membership and the central idempotents come from
-    the handle's bounded view at the base's budget (``view``), so every
-    base and certificate on one handle scans the center once."""
+    A base carries its whole context: the handle ``S``, the anchor ``e``,
+    the ``kind`` and the ``budget``, so ``is_regular`` and
+    ``sufficient_regularity`` read them from it.  Centrality, subgroup
+    membership and the central idempotents come from the handle's bounded
+    view at the base's budget (``view``), so every base and certificate on
+    one handle scans the center once."""
 
     def __init__(self, S, e, kind="E", budget=DEFAULT_BUDGET):
         if kind not in ("E", "H", "Z"):
@@ -273,10 +276,8 @@ class EBase:
                 return (self._in_quotient(x) and S.mul(x, x) == x
                         and central(x) and not self._above_some(F, x))
 
-            def gen():
-                return (x for x in self._carrier_iter() if pred(x))
-
-            out = CarrierSet(pred, gen, exact=self.view.central_exact)
+            out = CarrierSet(pred, lambda: filter(pred, carrier(S)),
+                             exact=self.view.central_exact)
         elif self.kind == "H":
             F = params
 
@@ -286,28 +287,25 @@ class EBase:
                 f = self.view.subgroup_idempotent(x)
                 return f is not None and not self._above_some(F, f)
 
-            def gen():
-                return (x for x in self._carrier_iter() if pred(x))
-
-            out = CarrierSet(pred, gen, exact=self.view.exact)
+            out = CarrierSet(pred, lambda: filter(pred, carrier(S)),
+                             exact=self.view.exact)
         else:
             n, F = params
 
             def qualifies(z):
                 if not (self._in_quotient(z) and central(z)):
                     return False
-                pi = self._power_idempotent(z)
-                return (pi is not None and central(pi)
-                        and not self._above_some(F, pi))
+                pp = power_projection(S, z, self.budget)
+                return (pp.status == "defined" and central(pp.idempotent)
+                        and not self._above_some(F, pp.idempotent))
 
             def gen():
                 seen = set()
-                for z in self._carrier_iter():
-                    if qualifies(z):
-                        y = power(S, z, n)
-                        if y not in seen:
-                            seen.add(y)
-                            yield y
+                for z in filter(qualifies, carrier(S)):
+                    y = power(S, z, n)
+                    if y not in seen:
+                        seen.add(y)
+                        yield y
 
             # members are the first budget.elements values gen() yields;
             # one scan serves every query, advanced only as far as needed
@@ -327,30 +325,8 @@ class EBase:
         self._memo_members[params] = out
         return out
 
-    def _carrier_iter(self):
-        S = self.S
-        return iter(S.elements()) if is_finite(S) else S.enumerate_carrier()
-
-    def _power_idempotent(self, z):
-        """Idempotent reached by the powers of z, or None at bound."""
-        from .core import power_projection
-        pp = power_projection(self.S, z, self.budget)
-        return pp.idempotent if pp.status == "defined" else None
-
     def neighborhood(self, b, params):
         return shift(self.S, self.e, b, self.member(params), self.budget)
-
-
-def ebase_E(S, e, F=(), budget=DEFAULT_BUDGET):
-    return EBase(S, e, "E", budget).member(tuple(F))
-
-
-def ebase_H(S, e, F=(), budget=DEFAULT_BUDGET):
-    return EBase(S, e, "H", budget).member(tuple(F))
-
-
-def ebase_Z(S, e, n=1, F=(), budget=DEFAULT_BUDGET):
-    return EBase(S, e, "Z", budget).member((n, tuple(F)))
 
 
 # ---------------------------------------------------------------------------
@@ -402,24 +378,17 @@ def validate_remote_base(S, base, sample=16, budget=DEFAULT_BUDGET, seed=0):
             candidates = [refine(p1, p2)]
         else:
             candidates = [p for p, _ in base.member_sets()]
-        placed = False
+        bad = None
         for cp in candidates:
-            c_set = instantiate(cp)
-            cpre, _ = c_set.prefix(scan)
+            cpre, _ = instantiate(cp).prefix(scan)
             bad = next((c for c in cpre
                         if not (a_set.member(c) and b_set.member(c)
                                 and S.mul(c, e) == e)), None)
             if bad is None:
-                placed = True
                 break
-        if not placed:
-            witness = None
-            for cp in candidates:
-                cpre, _ = instantiate(cp).prefix(scan)
-                witness = next((c for c in cpre
-                                if not (a_set.member(c) and b_set.member(c)
-                                        and S.mul(c, e) == e)), witness)
-            violations.append({"law": 1, "pair": (p1, p2), "element": witness})
+        else:
+            # no candidate fits: the last one's stray element is the witness
+            violations.append({"law": 1, "pair": (p1, p2), "element": bad})
 
     ground = carrier_prefix(S, min(sample * 4, budget.elements))
     plist = (base.sample_params(rng, 3, max_f=2) if isinstance(base, EBase)
@@ -479,16 +448,37 @@ def _least_fixing_idempotent(S, b, pool):
     return least
 
 
-def is_regular(S, e, base, b, budget=DEFAULT_BUDGET):
-    """Find a basic set V whose shifted products avoid b: b not in (be/e)*V.
+def _regularity_scan(base, b, be):
+    """The bounded scan behind regularity at a point b with be == b*e.
+
+    Returns a test of member parameters V: None when some product q*v hits
+    b, for q in the prefix of (be)/e and v in the prefix of V, else the
+    pairs checked and whether both prefixes were exhausted.  The quotient
+    prefix is read once, for every V tested."""
+    S = base.S
+    side = max(2, int(base.budget.steps ** 0.5) + 1)
+    qpre, qdone = left_quotient(S, be, base.e, base.budget).prefix(side)
+
+    def avoids(params):
+        vpre, vdone = base.member(params).prefix(side)
+        if any(S.mul(q, v) == b for q in qpre for v in vpre):
+            return None
+        return len(qpre) * len(vpre), qdone and vdone
+
+    return avoids
+
+
+def is_regular(base, b):
+    """Find a basic set V of ``base`` whose shifted products avoid b:
+    b not in (be/e)*V, with S, e and the budget read off the base.
 
     Only meaningful for b moved by e (b != be); otherwise Inapplicable.
     The first candidate comes from the regularity construction: F is the
     least central idempotent fixing b, forcing products to stay above it
     while b is not.  A candidate survives when a bounded product scan
     finds no hit; the verdict is definite only if the scan was
-    exhaustive.  The central idempotents come from the base's view, at the
-    base's budget (callers pass that budget)."""
+    exhaustive."""
+    S, e, budget = base.S, base.e, base.budget
     be = S.mul(b, e)
     if be == b:
         raise Inapplicable("b is fixed by e; nothing to separate")
@@ -506,8 +496,7 @@ def is_regular(S, e, base, b, budget=DEFAULT_BUDGET):
     for p in base.sample_params(rng, 6, max_f=3):
         if p not in candidates:
             candidates.append(p)
-    quotient = left_quotient(S, be, e, budget)
-    side = max(2, int(budget.steps ** 0.5) + 1)
+    avoids = _regularity_scan(base, b, be)
     tried = 0
     for params in candidates:
         try:
@@ -515,24 +504,21 @@ def is_regular(S, e, base, b, budget=DEFAULT_BUDGET):
         except BadParameter:
             continue
         tried += 1
-        V = base.member(params)
-        qpre, qdone = quotient.prefix(side)
-        vpre, vdone = V.prefix(side)
-        hit = any(S.mul(q, v) == b for q in qpre for v in vpre)
-        if hit:
+        found = avoids(params)
+        if found is None:
             continue
-        exhaustive = qdone and vdone
+        pairs, exhaustive = found
         return Verdict(HOLDS, "finite" if exhaustive else "search",
                        {"kind": "regularity", "params": base.describe(params),
-                        "pairs_checked": len(qpre) * len(vpre),
+                        "pairs_checked": pairs,
                         "exhaustive": exhaustive}, budget)
     return Verdict(UNKNOWN, "search",
                    {"kind": "search_exhausted", "candidates": tried}, budget)
 
 
-def sufficient_regularity(S, e, base, mode="E", sample=16,
-                          budget=DEFAULT_BUDGET, seed=0):
-    """Check the hypotheses under which the base is provably regular.
+def sufficient_regularity(base, sample=16, seed=0):
+    """Check the hypotheses under which ``base`` is provably regular; S, e,
+    the budget and the mode (the base's kind) are read off the base.
 
     Modes E and H need the central idempotent order to have no infinite
     descent, and members avoiding the up-set of any finite F inside the
@@ -542,6 +528,7 @@ def sufficient_regularity(S, e, base, mode="E", sample=16,
     unconfirmed at the bound."""
     from .predicates import eventually_clifford, nonsingular
 
+    S, e, mode, budget = base.S, base.e, base.kind, base.budget
     rng = random.Random(seed)
     hypotheses = {}
     declared = (S.declared_facts or {}) if not is_finite(S) else {}
@@ -570,7 +557,7 @@ def sufficient_regularity(S, e, base, mode="E", sample=16,
             continue
         k = rng.randint(0, min(3, len(pool)))
         F = tuple(sorted(rng.sample(pool, k))) if k else ()
-        params = (rng.randint(1, 3), F) if base.kind == "Z" else F
+        params = (rng.randint(1, 3), F) if mode == "Z" else F
         try:
             V = base.member(params)
         except BadParameter:
@@ -578,7 +565,7 @@ def sufficient_regularity(S, e, base, mode="E", sample=16,
         vpre, _ = V.prefix(scan)
         bad = None
         for v in vpre:
-            if base.kind in ("E", "H"):
+            if mode in ("E", "H"):
                 f = v if S.mul(v, v) == v else base.view.subgroup_idempotent(v)
                 if f is None or any(_leq(S, g, f) for g in F):
                     bad = v
@@ -730,7 +717,7 @@ def certify_topology(S, e, base, sample=None, budget=DEFAULT_BUDGET, seed=0):
     moved = [b for b in ground if S.mul(b, e) != b]
     rng.shuffle(moved)
     for b in moved[:sample.regularity]:
-        verdict = is_regular(S, e, base, b, budget)
+        verdict = is_regular(base, b)
         if verdict.status == UNKNOWN:
             cert.unconfirmed += 1
         cert.regularity.append({"b": b, "status": verdict.status,
@@ -793,14 +780,9 @@ def replay_certificate(S, base, cert):
     for rec in cert.regularity:
         if rec["status"] != HOLDS:
             continue
-        params = _params_from_desc(rec["params"])
-        be = S.mul(rec["b"], e)
-        V = base.member(params)
-        quotient = left_quotient(S, be, e, base.budget)
-        side = max(2, int(base.budget.steps ** 0.5) + 1)
-        qpre, _ = quotient.prefix(side)
-        vpre, _ = V.prefix(side)
-        if any(S.mul(q, v) == rec["b"] for q in qpre for v in vpre):
+        b = rec["b"]
+        avoids = _regularity_scan(base, b, S.mul(b, e))
+        if avoids(_params_from_desc(rec["params"])) is None:
             raise CertificationFailed("replay-regularity", rec)
     for rec in cert.nonisolation:
         params = _params_from_desc(rec["params"])
@@ -835,16 +817,16 @@ def find_nonisolated_idempotent(S, budget=DEFAULT_BUDGET, tau=NONISOLATION_TAU):
     semilattice is finite or no candidate qualifies at the bound."""
     if is_finite(S):
         raise NotFound("finite carrier: the central semilattice is finite")
-    pool = list(central_idempotents(S, budget).elements)
+    view = bounded_view(S, budget)
+    pool = list(view.central_idempotents)
     if len(pool) < tau:
         raise NotFound(f"only {len(pool)} central idempotents at bound")
-    upset_size = {f: sum(1 for g in pool if _leq(S, f, g)) for f in pool}
+    upset_size = _upset_sizes(view.central_order)
     candidates = [f for f in pool if upset_size[f] >= tau]
     if not candidates:
         raise NotFound("no central idempotent with a large up-set at bound")
-    cset = set(candidates)
-    eligible = [f for f in candidates
-                if all(g == f or not _leq(S, f, g) for g in cset)]
+    below_some = {g for f in candidates for g in view.central_order[f]}
+    eligible = [f for f in candidates if f not in below_some]
     if not eligible:
         raise NotFound("no maximal candidate at bound")
     e = min(eligible)
@@ -864,22 +846,33 @@ def find_nonisolated_idempotent(S, budget=DEFAULT_BUDGET, tau=NONISOLATION_TAU):
     return e, evidence
 
 
-def _chain_evidence(S, pool, target):
-    """Longest descending chain found greedily inside the idempotent pool.
+def _upset_sizes(down):
+    """How many members of the order lie at or above each one, from its
+    down-lists."""
+    sizes = dict.fromkeys(down, 1)
+    for below in down.values():
+        for g in below:
+            sizes[g] += 1
+    return sizes
+
+
+def _chain_evidence(down, target):
+    """Longest descending chain found greedily in the order given by the
+    down-lists ``down``.
 
     Descends one covering step at a time by always picking the element
     with the smallest up-set among those below, so that a totally ordered
     pool yields its full length rather than collapsing to the bottom."""
-    if not pool:
+    if not down:
         return []
-    sizes = {f: sum(1 for g in pool if _leq(S, f, g)) for f in pool}
-    seeds = sorted(pool, key=lambda f: (sizes[f], f))[:4]
+    sizes = _upset_sizes(down)
+    seeds = sorted(down, key=lambda f: (sizes[f], f))[:4]
     best = []
     for seed in seeds:
         chain = [seed]
         current = seed
         while len(chain) < target:
-            below = [c for c in pool if c != current and _leq(S, c, current)]
+            below = down[current]
             if not below:
                 break
             current = min(below, key=lambda c: (sizes[c], c))
@@ -905,8 +898,9 @@ def topologizability_verdict(S, budget=DEFAULT_BUDGET):
                        {"kind": "inapplicable", "ez_size": len(ez)}, budget,
                        note="finite carrier: any topology of interest is discrete")
     declared = S.declared_facts or {}
-    pool = list(central_idempotents(S, budget).elements)
-    chain = _chain_evidence(S, pool, budget.elements)
+    view = bounded_view(S, budget)
+    pool = view.central_idempotents
+    chain = _chain_evidence(view.central_order, budget.elements)
     missing = []
 
     if len(chain) >= budget.elements:

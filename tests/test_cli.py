@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, determinism, report files."""
 
+import hashlib
 import json
 import runpy
 import sys
@@ -142,6 +143,34 @@ def test_topology_flat_certifies_and_writes_report(capsys, tmp_path):
     doc = read_report(out_file)
     entry = doc.entries[0]
     assert entry["anchor"] == 0 and entry["certificate"]["failures"] == []
+
+
+# sha256 of the --out bytes and of stdout of `topology` at 64/1024: the
+# certificate and its summary must not move while the code under it does
+TOPOLOGY_DIGESTS = {
+    ("flat:7", "E"): ("a3adb80e01a3f111f045bc9b582700ae2ab0e75a57cfc3aeddb780b9f633c0ab",
+                      "dac9825395bc9d65fcd91dece73228d3e980e7b141fc121f34c650c620704821"),
+    ("flat:7", "H"): ("a7ba02792e53561ff507a0125c39b56a3b926f22cdada0d6c8225be9635db609",
+                      "ed0a0c665158ab9f594622c82081fec73294219959e95a7c8779fc8d181b107c"),
+    ("flat:7", "Z"): ("e08353c795b42cf119cff17c457eace7e9fbf428873e30bac76a827ce2fcc075",
+                      "5c7e4c6aeb7e14481da0c4f0884d6b08a09164cb9a4c1846a0639a068cd89353"),
+    ("flat", "E"): ("b5d0ee672ca3ee0616ab8f67f1c2691c7007b08adc5c3b0682239dc99d4753b9",
+                    "e195fd895da3ee55cd0c7fca7442bc74e37aab5baeced09d1e6bde4fbd76dae3"),
+    ("flat", "Z"): ("8ed9031ff67ff3ac925da600b484db448a19a2b1e68481f4453e41dceafa0512",
+                    "818b299cec93e8da94e361938c38c064061b5d250a0e45e23bab065210c3b32f"),
+}
+
+
+@pytest.mark.parametrize("builder,kind", sorted(TOPOLOGY_DIGESTS))
+def test_topology_matches_the_golden_digests(capsys, tmp_path, builder, kind):
+    out_file = tmp_path / "topo.json"
+    code, out, _ = run(capsys, "topology", "--builder", builder, "--kind", kind,
+                       "--budget-elems", "64", "--budget-steps", "1024",
+                       "--out", str(out_file))
+    assert code == 0
+    digests = (hashlib.sha256(out_file.read_bytes()).hexdigest(),
+               hashlib.sha256(out.encode()).hexdigest())
+    assert digests == TOPOLOGY_DIGESTS[builder, kind]
 
 
 def test_python_dash_m_runs_the_cli(capsys, monkeypatch):

@@ -65,6 +65,25 @@ def test_build_finite_rejects_bad_shapes():
         build_finite([[0]], labels=["a", "b"])
 
 
+@pytest.mark.parametrize("table,message", [
+    ([[0, 2], [0, 1]], "entry 2 out of range 0..1"),
+    ([[0, 0], [-1, 0]], "entry -1 out of range 0..1"),
+    ([[0, 1.0], [0, 0]], "entry 1.0 out of range 0..1"),
+    ([[0, 0, 0], [0, "x", 9], [0, 0, 0]], "entry 'x' out of range 0..2"),
+    ([[0, 0, 0], [0, 9, "x"], [0, 0, 0]], "entry 9 out of range 0..2"),
+    ([[0, 0], [0, None]], "entry None out of range 0..1"),
+])
+def test_build_finite_words_the_first_bad_entry(table, message):
+    with pytest.raises(MalformedTable) as err:
+        build_finite(table)
+    assert str(err.value) == message
+
+
+def test_build_finite_accepts_int_subclasses():
+    S = build_finite([[False, True], [True, False]])
+    assert S.mul(1, 1) == 0
+
+
 def test_build_finite_reports_nonassociative_triple():
     # (0*0)*1 = 1*1 = 0 but 0*(0*1) = 0*0 = 1
     with pytest.raises(NonAssociative) as err:

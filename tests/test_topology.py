@@ -6,7 +6,7 @@ import itertools
 import pytest
 
 import lemma_suite
-from metering import capped
+from metering import capped, counted
 
 from semitop.builders import (
     chain_semilattice,
@@ -19,6 +19,7 @@ from semitop.builders import (
     natplus,
     nilstream,
     nullstream,
+    prodcenter,
 )
 from semitop.core import Budget, CarrierSet
 from semitop.errors import (
@@ -34,7 +35,6 @@ from semitop.topology import (
     CertificationSample,
     EBase,
     certify_topology,
-    ebase_Z,
     find_nonisolated_idempotent,
     is_regular,
     left_quotient,
@@ -59,11 +59,6 @@ class CustomBase:
 
     def member_sets(self):
         return list(enumerate(self.members))
-
-
-def _set(elements):
-    s = frozenset(elements)
-    return CarrierSet(lambda x: x in s, lambda: iter(sorted(s)), exact=True)
 
 
 # -- left quotients ----------------------------------------------------------
@@ -107,7 +102,7 @@ def test_left_quotient_rejects_non_idempotent_divisor():
 def test_shift_of_moved_point_is_singleton():
     S = flat_stream()
     # 1/2 is empty, so the neighborhood of 1 anchored at 2 is just {1}
-    nb = shift(S, 2, 1, _set({2, 3}), BUDGET)
+    nb = shift(S, 2, 1, CarrierSet.of((2, 3)), BUDGET)
     members, done = nb.prefix(10)
     assert members == [1] and done
     assert nb.membership(5)[0] == "no"
@@ -115,7 +110,7 @@ def test_shift_of_moved_point_is_singleton():
 
 def test_shift_membership_witnesses():
     S = flat_stream()
-    nb = shift(S, 0, 0, _set({5}), BUDGET)
+    nb = shift(S, 0, 0, CarrierSet.of((5,)), BUDGET)
     status, witness = nb.membership(0)
     assert status == "yes" and witness == ("base",)
     status, witness = nb.membership(5)  # 5 is idempotent, 5*0 == 0, 5 in U
@@ -126,11 +121,11 @@ def test_shift_membership_witnesses():
 
 def test_shift_definite_no_needs_exhausted_factors():
     S = flat_stream()
-    nb = shift(S, 3, 3, _set({4}), BUDGET)  # {3} | {3}*{4} == {3, 0}
+    nb = shift(S, 3, 3, CarrierSet.of((4,)), BUDGET)  # {3} | {3}*{4} == {3, 0}
     assert nb.membership(0)[0] == "yes"
     assert nb.membership(7)[0] == "no"
     # unbounded quotient, tiny scan: exclusion cannot be certified
-    wide = shift(S, 0, 0, _set({5}), Budget(4, 4))
+    wide = shift(S, 0, 0, CarrierSet.of((5,)), Budget(4, 4))
     assert wide.membership(9, pair_scan=4)[0] == "unknown"
 
 
@@ -144,7 +139,7 @@ def test_idempotent_base_member_excludes_upsets():
 
 
 def test_power_base_on_a_finite_group_collapses_to_identity():
-    zs = ebase_Z(cyclic_group(2), 0, n=2)
+    zs = EBase(cyclic_group(2), 0, "Z").member((2, ()))
     assert zs.exact and zs.prefix(10) == ([0], True)
 
 
@@ -203,7 +198,7 @@ def test_builtin_base_satisfies_the_laws():
 
 def test_undirected_family_is_rejected():
     S = flat_finite(3)
-    bad = CustomBase(S, 0, [_set({0, 1}), _set({0, 2})])
+    bad = CustomBase(S, 0, [CarrierSet.of((0, 1)), CarrierSet.of((0, 2))])
     report = validate_remote_base(S, bad, sample=4)
     assert not report.ok
     assert any(v["law"] == 1 for v in report.violations)
@@ -214,7 +209,7 @@ def test_undirected_family_is_rejected():
 def test_moved_point_is_separated_from_the_anchor():
     S = flat_stream()
     base = EBase(S, 0, "E", BUDGET)
-    verdict = is_regular(S, 0, base, 5, BUDGET)
+    verdict = is_regular(base, 5)
     assert verdict.holds and verdict.witness["kind"] == "regularity"
     # the constructed parameter shields the fixing idempotent of b
     assert verdict.witness["params"]["F"] == [5]
@@ -224,17 +219,15 @@ def test_regularity_is_inapplicable_for_fixed_points():
     S = flat_stream()
     base = EBase(S, 0, "E", BUDGET)
     with pytest.raises(Inapplicable):
-        is_regular(S, 0, base, 0, BUDGET)
+        is_regular(base, 0)
 
 
 def test_sufficient_hypotheses_for_builtin_bases():
     S = flat_stream()
-    sr = sufficient_regularity(S, 0, EBase(S, 0, "E", BUDGET), mode="E",
-                               sample=8, budget=BUDGET)
+    sr = sufficient_regularity(EBase(S, 0, "E", BUDGET), sample=8)
     assert sr["ok"] and sr["refuted"] == []
     assert sr["hypotheses"]["central_idempotents_well_founded"] == "declared"
-    srz = sufficient_regularity(S, 0, EBase(S, 0, "Z", BUDGET), mode="Z",
-                                sample=8, budget=BUDGET)
+    srz = sufficient_regularity(EBase(S, 0, "Z", BUDGET), sample=8)
     assert srz["ok"]
     assert srz["hypotheses"]["nonsingular"] == HOLDS
     assert srz["hypotheses"]["eventually_clifford"] == HOLDS
@@ -318,6 +311,15 @@ def test_commutative_verdict_stays_under_its_multiplication_ceiling(make):
     topologizability_verdict(capped(make(), 1_000), BUDGET)
 
 
+@pytest.mark.parametrize("make,ceiling", [(natmin, 100_000), (flat_stream, 70_000),
+                                          (prodcenter, 56_000)])
+def test_verdict_builds_one_central_order(make, ceiling):
+    # 98,176, 68,625 and 55,000 products; building the up-set table of the
+    # central idempotents twice (once per chain search, once per anchor
+    # selection) about doubles each
+    topologizability_verdict(capped(make(), ceiling), BUDGET)
+
+
 # -- randomized law suite ----------------------------------------------------
 
 def test_shift_laws_hold_on_the_finite_corpus():
@@ -331,19 +333,22 @@ def test_flat_certification_stays_under_its_multiplication_ceiling():
     # center scan per sampled moved point (about 17 M) and a Z member scan
     # restarted on every miss (a Z replay of about 1.4 M)
     for kind in "EHZ":
-        calls = 0
-        plain = flat_stream()
-
-        def counted(x, y, _mul=plain.mul_fn):
-            nonlocal calls
-            calls += 1
-            return _mul(x, y)
-
-        S = dataclasses.replace(plain, mul_fn=counted)
+        S, meter = counted(flat_stream())
         cert = certify_topology(S, 0, EBase(S, 0, kind, BUDGET), budget=BUDGET,
                                 seed=0)
-        assert calls < 1_000_000, (kind, calls)
+        assert meter.calls < 1_000_000, (kind, meter.calls)
         if kind == "Z":
-            calls = 0
+            meter.calls = 0
             assert replay_certificate(S, EBase(S, 0, kind, BUDGET), cert)
-            assert calls < 500_000, calls
+            assert meter.calls < 500_000, meter.calls
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the H member filters the infinite carrier for a "
+                          "code past the certified prefix and never yields")
+def test_flat_subgroup_base_certifies_at_a_small_budget():
+    # kinds E and Z take 0.38 M and 0.84 M products here; kind H hangs
+    budget = Budget(64, 1024)
+    S = capped(flat_stream(), 1_000_000)
+    e, _ = find_nonisolated_idempotent(S, budget)
+    certify_topology(S, e, EBase(S, e, "H", budget), budget=budget, seed=0)
