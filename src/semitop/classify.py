@@ -16,7 +16,6 @@ from typing import Optional
 from .core import (
     DEFAULT_BUDGET,
     Budget,
-    StreamSemigroup,
     bounded_view,
     build_stream,
     is_finite,
@@ -27,6 +26,7 @@ from .predicates import (
     HOLDS,
     UNKNOWN,
     Verdict,
+    _facts,
     conjunction_status,
     evaluate_suite,
     negation_status,
@@ -203,8 +203,8 @@ def center_necessary_conditions(S, budget=DEFAULT_BUDGET, suite=None):
                        steps=min(2048, budget.steps))
         csuite = evaluate_suite(handle, small)
         cfin = finiteness(handle, small)
-        declared = S.declared_facts if isinstance(S, StreamSemigroup) else None
-        if cfin.status == UNKNOWN and declared and "center_finite" in declared:
+        declared = _facts(S)
+        if cfin.status == UNKNOWN and "center_finite" in declared:
             value = bool(declared["center_finite"])
             cfin = Verdict(HOLDS if value else FAILS, "declared",
                            {"kind": "declared", "fact": "center_finite",
@@ -215,7 +215,7 @@ def center_necessary_conditions(S, budget=DEFAULT_BUDGET, suite=None):
     injective = _conjunction_verdict(
         csuite, ("chain_finite", "periodic", "nonsingular", "group_finite"), budget,
         extra_note="necessary on the center for injective closedness")
-    return CenterAnalysis(empty=False, prefix_certified=not is_finite(S),
+    return CenterAnalysis(empty=False, prefix_certified=not exact,
                           suite=csuite, closed_necessary=closed,
                           injective_necessary=injective, center_finite=cfin)
 

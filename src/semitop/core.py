@@ -300,10 +300,6 @@ def is_finite(S):
     return isinstance(S, FiniteSemigroup)
 
 
-def mul(S, x, y):
-    return S.mul(x, y)
-
-
 def label_of(S, x):
     if is_finite(S):
         return S.labels[x]
@@ -447,7 +443,8 @@ class Prefix:
 
 
 class _FinitePrefix(Prefix):
-    """The exhausted case, read off the table's structure maps."""
+    """The exhausted case: ``codes``, ``idempotents``, ``center``,
+    ``central`` and the subgroup maps read off the table's structure."""
 
     exact = central_exact = True
     codes = property(lambda self: self.S.elements())
@@ -569,29 +566,15 @@ def natural_order(S, elements=None, budget=DEFAULT_BUDGET):
 def h_class(S, a, budget=DEFAULT_BUDGET):
     """The H-class of ``a``: same principal right and left ideal.
 
-    Exact on finite handles.  On a stream an element is listed only when
-    two-sided divisibility witnesses both ways were found inside the
-    prefix, so the answer under-approximates and is flagged inexact.
+    Exact on finite handles.  On a stream it is the view's certified
+    subgroup of ``a`` (``Prefix.subgroup``), or ``(a,)`` when ``a`` has no
+    certificate, so the answer under-approximates and is flagged inexact.
     """
     if is_finite(S):
         return BoundedSet(S.h_partition[a], exact=True)
-    pre = carrier_prefix(S, budget.elements)
-    out = tuple(x for x in pre if _h_related_at_bound(S, a, x, pre))
-    return BoundedSet(out, exact=False)
-
-
-def _divides_right(S, a, x, pre):
-    # x in aX^1: x == a or x == a*u for a witnessed u
-    return x == a or any(S.mul(a, u) == x for u in pre)
-
-
-def _divides_left(S, a, x, pre):
-    return x == a or any(S.mul(u, a) == x for u in pre)
-
-
-def _h_related_at_bound(S, a, x, pre):
-    return (_divides_right(S, a, x, pre) and _divides_right(S, x, a, pre)
-            and _divides_left(S, a, x, pre) and _divides_left(S, x, a, pre))
+    view = bounded_view(S, budget)
+    e = view.subgroup_idempotent(a)
+    return BoundedSet((a,) if e is None else view.subgroup(e), exact=False)
 
 
 @dataclass

@@ -1,11 +1,13 @@
 """Structural predicates with three-valued verdicts and replayable evidence.
 
-Every predicate returns Holds, Fails, or Unknown together with the evidence
-that justifies it.  On finite handles answers are exact (source "finite").
-On streams a bounded search runs first; a definite search answer wins and
-must not be contradicted by a declared fact (that is a corpus integrity
-error).  When search is inconclusive a declared fact decides with source
-"declared", else the verdict is Unknown with the search residue attached.
+Every predicate reads its handle through the bounded view and returns
+Holds, Fails, or Unknown with the evidence that justifies it.  The view's
+``exact`` flag decides the source: answers on an exact view (a finite
+table) are final, source "finite".  On a stream a definite search answer
+(source "search") must not be contradicted by a declared fact (that is a
+corpus integrity error); when search is inconclusive a declared fact
+decides with source "declared", else the verdict is Unknown with the
+search residue attached.
 
 Budget convention for the searches here: ``elements`` caps enumerated
 prefixes and witness sizes, ``steps`` caps examined candidates in greedy
@@ -14,7 +16,9 @@ growth and exponent steps in orbit walks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+import math
+from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
@@ -24,8 +28,6 @@ from .core import (
     _orbit,
     bounded_view,
     carrier_prefix,
-    clifford_parts,
-    is_finite,
     natural_order,
     power,
 )
@@ -105,6 +107,19 @@ def _guard_declaration(S, name, search_status):
                 f"contradicted by search ({search_status})")
 
 
+def _settle(S, name, view, status, witness, evidence=True):
+    """The one verdict tail, in the order of the module docstring; a
+    declared verdict carries ``witness`` as evidence when ``evidence``."""
+    budget = view.budget
+    if view.exact:
+        return Verdict(status, "finite", witness, budget)
+    if status != UNKNOWN:
+        _guard_declaration(S, name, status)
+        return Verdict(status, "search", witness, budget)
+    return _declared(S, name, budget, witness if evidence else None) or Verdict(
+        UNKNOWN, "search", witness, budget)
+
+
 # ---------------------------------------------------------------------------
 # greedy searches on streams
 
@@ -158,11 +173,12 @@ def _singular_search(S, budget):
 
 
 def _clifford_members(view, sample_idempotents=4):
-    """Prefix codes certified inside some subgroup: every idempotent plus
-    the members of the first few subgroups."""
-    sampled = set(view.idempotents[:sample_idempotents])
-    return set(view.idempotents) | {x for x, e in view.subgroup_of.items()
-                                    if e in sampled}
+    """Codes certified inside some subgroup: every idempotent plus the
+    members of the first few subgroups, or every certified code on an
+    exact view."""
+    idem = view.idempotents
+    sampled = set(idem if view.exact else idem[:sample_idempotents])
+    return set(idem) | {x for x, e in view.subgroup_of.items() if e in sampled}
 
 
 # ---------------------------------------------------------------------------
@@ -171,175 +187,171 @@ def _clifford_members(view, sample_idempotents=4):
 def chain_finite(S, budget=DEFAULT_BUDGET):
     """Every infinite subset has a pair multiplying outside itself.
 
-    Trivial on finite handles; the evidence records the longest chain in
-    the idempotent order.  On streams a long-enough chain refutes."""
-    if is_finite(S):
-        longest = natural_order(S).longest_chain()
-        return Verdict(HOLDS, "finite",
-                       {"kind": "finite", "longest_idempotent_chain": list(longest)},
-                       budget)
+    Trivial on exact views; the evidence records the longest chain in the
+    idempotent order.  On streams a long-enough chain refutes."""
+    view = bounded_view(S, budget)
+    if view.exact:
+        longest = natural_order(S, budget=budget).longest_chain()
+        return _settle(S, "chain_finite", view, HOLDS,
+                       {"kind": "finite", "longest_idempotent_chain": list(longest)})
     found, best = _chain_search(S, budget)
     if found is not None:
-        _guard_declaration(S, "chain_finite", FAILS)
-        return Verdict(FAILS, "search",
-                       {"kind": "chain", "elements": list(found), "length": len(found)},
-                       budget)
-    residue = {"kind": "search_exhausted", "best_chain_length": best}
-    return _declared(S, "chain_finite", budget, residue) or Verdict(
-        UNKNOWN, "search", residue, budget)
+        return _settle(S, "chain_finite", view, FAILS,
+                       {"kind": "chain", "elements": list(found), "length": len(found)})
+    return _settle(S, "chain_finite", view, UNKNOWN,
+                   {"kind": "search_exhausted", "best_chain_length": best})
 
 
 def nonsingular(S, budget=DEFAULT_BUDGET):
     """No infinite subset with a one-element product set."""
-    if is_finite(S):
-        return Verdict(HOLDS, "finite", {"kind": "finite"}, budget)
+    view = bounded_view(S, budget)
+    if view.exact:
+        return _settle(S, "nonsingular", view, HOLDS, {"kind": "finite"})
     elems, const, best = _singular_search(S, budget)
     if elems is not None:
-        _guard_declaration(S, "nonsingular", FAILS)
-        return Verdict(FAILS, "search",
+        return _settle(S, "nonsingular", view, FAILS,
                        {"kind": "singular_prefix", "elements": list(elems),
-                        "product": const, "length": len(elems)}, budget)
-    residue = {"kind": "search_exhausted", "best_singular_length": best}
-    return _declared(S, "nonsingular", budget, residue) or Verdict(
-        UNKNOWN, "search", residue, budget)
+                        "product": const, "length": len(elems)})
+    return _settle(S, "nonsingular", view, UNKNOWN,
+                   {"kind": "search_exhausted", "best_singular_length": best})
 
 
 def periodic(S, budget=DEFAULT_BUDGET):
     """Every element has an idempotent power."""
-    if is_finite(S):
-        return Verdict(HOLDS, "finite", {"kind": "finite"}, budget)
-    exponents, divergent, cap = bounded_view(S, budget).orbit_profile
-    evidence = {"kind": "orbit_profile", "inspected": len(exponents) + len(divergent),
-                "divergent_at_bound": divergent[:8], "step_cap": cap}
-    # neither direction is decidable by search: divergence may resolve past
-    # the cap, and a fully periodic prefix says nothing about the rest
-    return _declared(S, "periodic", budget, evidence) or Verdict(
-        UNKNOWN, "search", evidence, budget)
+    return _power_limit(S, "periodic", budget)
 
 
-def _lcm(values):
-    from math import gcd
-    out = 1
-    for v in values:
-        out = out * v // gcd(out, v)
-    return out
+def eventually_clifford(S, budget=DEFAULT_BUDGET):
+    """Every element has a power inside a subgroup."""
+    return _power_limit(S, "eventually_clifford", budget)
+
+
+def _power_limit(S, name, budget):
+    """Holds on exact views: finite semigroups are periodic, so some power
+    is idempotent.  On streams neither direction is decidable by search:
+    divergence may resolve past the cap, and a fully periodic prefix says
+    nothing about the rest."""
+    view = bounded_view(S, budget)
+    if view.exact:
+        return _settle(S, name, view, HOLDS, {"kind": "finite"})
+    exponents, divergent, cap = view.orbit_profile
+    evidence = {"kind": "orbit_profile", "divergent_at_bound": divergent[:8],
+                "step_cap": cap}
+    if name == "periodic":
+        evidence["inspected"] = len(exponents) + len(divergent)
+    return _settle(S, name, view, UNKNOWN, evidence)
 
 
 def least_uniform_exponent(S):
     """Smallest n making every x^n idempotent, from orbit indices/periods."""
-    orbits = [_orbit(S, x, S.size + 1) for x in S.elements()]
-    lcm = _lcm(period for _, _, period in orbits)
+    codes = bounded_view(S).codes
+    orbits = [_orbit(S, x, len(codes) + 1) for x in codes]
+    lcm = math.lcm(*(period for _, _, period in orbits))
     top = max(index for _, index, _ in orbits)
     return lcm * ((top + lcm - 1) // lcm)
 
 
 def bounded(S, budget=DEFAULT_BUDGET):
     """One exponent n makes every x^n idempotent; reports the least n."""
-    if is_finite(S):
-        n = least_uniform_exponent(S)
-        return Verdict(HOLDS, "finite", {"kind": "uniform_exponent", "n": n}, budget)
-    exponents, divergent, cap = bounded_view(S, budget).orbit_profile
+    view = bounded_view(S, budget)
+    if view.exact:
+        return _settle(S, "bounded", view, HOLDS,
+                       {"kind": "uniform_exponent", "n": least_uniform_exponent(S)})
+    exponents, divergent, cap = view.orbit_profile
     evidence = {"kind": "orbit_profile", "divergent_at_bound": divergent[:8],
                 "max_exponent_seen": max(exponents.values(), default=None),
                 "step_cap": cap}
-    verdict = _declared(S, "bounded", budget, evidence)
-    if verdict is not None and verdict.holds:
+    verdict = _settle(S, "bounded", view, UNKNOWN, evidence)
+    if verdict.holds:
         n = _facts(S).get("bound_exponent", evidence["max_exponent_seen"])
         if n is not None:
-            for x in bounded_view(S, budget).codes[:64]:
+            for x in view.codes[:64]:
                 xn = power(S, x, n)
                 if S.mul(xn, xn) != xn:
                     raise CorpusIntegrityError(
                         f"{S.name}: declared bound exponent {n} fails at {x}")
-            witness = dict(verdict.witness)
-            witness["n"] = n
-            verdict = Verdict(HOLDS, "declared", witness, budget)
-    return verdict or Verdict(UNKNOWN, "search", evidence, budget)
+            verdict = Verdict(HOLDS, "declared", {**verdict.witness, "n": n}, budget)
+    return verdict
 
 
 def group_finite(S, budget=DEFAULT_BUDGET):
-    """All subgroups finite; witnesses name the offending idempotent."""
-    if is_finite(S):
-        biggest = max(((len(S.h_partition[e]), e) for e in S.idempotent_codes),
-                      default=(0, None))
-        return Verdict(HOLDS, "finite",
-                       {"kind": "finite", "largest_subgroup": biggest[0],
-                        "at_idempotent": biggest[1]}, budget)
+    """All subgroups finite; witnesses name the largest subgroup inspected
+    (every one on an exact view, those of the first four idempotents on a
+    stream)."""
     view = bounded_view(S, budget)
-    for e in view.idempotents[:4]:
-        members = list(view.subgroup(e))
-        # half the element budget of certified members counts as growth
-        # evidence at bound (the prefix boundary can clip a few inverses)
-        if len(members) >= max(2, budget.elements // 2):
-            _guard_declaration(S, "group_finite", FAILS)
-            return Verdict(FAILS, "search",
-                           {"kind": "subgroup_growth", "idempotent": e,
-                            "count": len(members), "sample": members[:32]}, budget)
-    return _declared(S, "group_finite", budget) or Verdict(
-        UNKNOWN, "search", {"kind": "search_exhausted"}, budget)
+    idem = view.idempotents if view.exact else view.idempotents[:4]
+    size, e = max(((len(view.subgroup(f)), f) for f in idem), default=(0, None))
+    if view.exact:
+        status, witness = HOLDS, {"kind": "finite", "largest_subgroup": size,
+                                  "at_idempotent": e}
+    # half the element budget of certified members counts as growth
+    # evidence at bound (the prefix boundary can clip a few inverses)
+    elif size >= max(2, budget.elements // 2):
+        status, witness = FAILS, {"kind": "subgroup_growth", "idempotent": e,
+                                  "count": size, "sample": list(view.subgroup(e)[:32])}
+    else:
+        status, witness = UNKNOWN, {"kind": "search_exhausted"}
+    return _settle(S, "group_finite", view, status, witness, evidence=False)
 
 
 def group_bounded(S, budget=DEFAULT_BUDGET):
     """All subgroups of bounded exponent."""
-    if is_finite(S):
+    view = bounded_view(S, budget)
+    if view.exact:
         # a subgroup member's orbit is its cycle, so its period is its order
-        orders = [_orbit(S, x, S.size + 1)[2] for x in S.subgroup_idempotent]
-        return Verdict(HOLDS, "finite",
-                       {"kind": "finite", "exponent": _lcm(orders)}, budget)
+        exponent = math.lcm(*(_orbit(S, x, len(view.codes) + 1)[2]
+                              for x in view.subgroup_of))
+        return _settle(S, "group_bounded", view, HOLDS,
+                       {"kind": "finite", "exponent": exponent})
     # unboundedness of a subgroup is not witnessable at a bound
-    return _declared(S, "group_bounded", budget) or Verdict(
-        UNKNOWN, "search", {"kind": "not_searchable"}, budget)
+    return _settle(S, "group_bounded", view, UNKNOWN, {"kind": "not_searchable"},
+                   evidence=False)
 
 
 def clifford(S, budget=DEFAULT_BUDGET):
     """Every element lies in a subgroup."""
-    if is_finite(S):
-        residue = clifford_parts(S).residue
-        if residue:
-            return Verdict(FAILS, "finite",
-                           {"kind": "residue", "sample": list(residue[:8]),
-                            "size": len(residue)}, budget)
-        return Verdict(HOLDS, "finite", {"kind": "finite"}, budget)
     view = bounded_view(S, budget)
     members = _clifford_members(view)
-    evidence = {"kind": "certified_fraction", "certified": len(members),
-                "prefix": len(view.codes)}
-    return _declared(S, "clifford", budget, evidence) or Verdict(
-        UNKNOWN, "search", evidence, budget)
+    if not view.exact:
+        status, witness = UNKNOWN, {"kind": "certified_fraction",
+                                    "certified": len(members),
+                                    "prefix": len(view.codes)}
+    elif residue := [x for x in view.codes if x not in members]:
+        status, witness = FAILS, {"kind": "residue", "sample": residue[:8],
+                                  "size": len(residue)}
+    else:
+        status, witness = HOLDS, {"kind": "finite"}
+    return _settle(S, "clifford", view, status, witness)
 
 
 def clifford_finite(S, budget=DEFAULT_BUDGET):
     """The union of subgroups is finite."""
-    if is_finite(S):
-        part = set(S.subgroup_idempotent)
-        return Verdict(HOLDS, "finite", {"kind": "finite", "size": len(part)}, budget)
-    members = _clifford_members(bounded_view(S, budget))
-    if len(members) >= max(2, budget.elements // 2):
-        _guard_declaration(S, "clifford_finite", FAILS)
-        sample = sorted(members)[:32]
-        return Verdict(FAILS, "search",
-                       {"kind": "clifford_growth", "count": len(members),
-                        "sample": sample}, budget)
-    return _declared(S, "clifford_finite", budget) or Verdict(
-        UNKNOWN, "search", {"kind": "search_exhausted", "certified": len(members)},
-        budget)
+    view = bounded_view(S, budget)
+    members = _clifford_members(view)
+    if view.exact:
+        status, witness = HOLDS, {"kind": "finite", "size": len(members)}
+    elif len(members) >= max(2, budget.elements // 2):
+        status, witness = FAILS, {"kind": "clifford_growth", "count": len(members),
+                                  "sample": sorted(members)[:32]}
+    else:
+        status, witness = UNKNOWN, {"kind": "search_exhausted",
+                                    "certified": len(members)}
+    return _settle(S, "clifford_finite", view, status, witness, evidence=False)
 
 
 def clifford_plus_finite(S, budget=DEFAULT_BUDGET):
     """All but finitely many elements lie in subgroups."""
-    if is_finite(S):
-        residue = clifford_parts(S).residue
-        return Verdict(HOLDS, "finite",
-                       {"kind": "finite", "residue_size": len(residue)}, budget)
     # an infinite residue cannot be certified by search (membership in the
     # subgroup union is only semi-decidable), so streams rely on declarations
     view = bounded_view(S, budget)
-    members = _clifford_members(view)
-    evidence = {"kind": "uncertified_fraction",
-                "uncertified": len(view.codes) - len(members),
-                "prefix": len(view.codes)}
-    return _declared(S, "clifford_plus_finite", budget, evidence) or Verdict(
-        UNKNOWN, "search", evidence, budget)
+    uncertified = len(view.codes) - len(_clifford_members(view))
+    if view.exact:
+        status, witness = HOLDS, {"kind": "finite", "residue_size": uncertified}
+    else:
+        status, witness = UNKNOWN, {"kind": "uncertified_fraction",
+                                    "uncertified": uncertified,
+                                    "prefix": len(view.codes)}
+    return _settle(S, "clifford_plus_finite", view, status, witness)
 
 
 def clifford_singular(S, budget=DEFAULT_BUDGET):
@@ -347,12 +359,11 @@ def clifford_singular(S, budget=DEFAULT_BUDGET):
 
     The Holds-witness is a bound-sized set A disjoint from the subgroup
     union (by declared part codes when available) with A*A inside it."""
-    if is_finite(S):
-        return Verdict(FAILS, "finite", {"kind": "finite"}, budget)
     view = bounded_view(S, budget)
-    members = _clifford_members(view)
+    if view.exact:
+        return _settle(S, "clifford_singular", view, FAILS, {"kind": "finite"})
     declared_part = _facts(S).get("clifford_part_codes")
-    part = set(declared_part) if declared_part is not None else members
+    part = set(declared_part) if declared_part is not None else _clifford_members(view)
 
     def in_part(x):
         return x in part or S.mul(x, x) == x
@@ -372,71 +383,44 @@ def clifford_singular(S, budget=DEFAULT_BUDGET):
             if len(group) >= target:
                 break
     if len(group) >= target and declared_part is not None:
-        _guard_declaration(S, "clifford_singular", HOLDS)
-        return Verdict(HOLDS, "search",
+        return _settle(S, "clifford_singular", view, HOLDS,
                        {"kind": "singular_into_subgroups", "elements": group[:32],
                         "length": len(group),
-                        "products_within": sorted(set(declared_part))}, budget)
-    evidence = {"kind": "search_exhausted", "best_length": len(group)}
-    return _declared(S, "clifford_singular", budget, evidence) or Verdict(
-        UNKNOWN, "search", evidence, budget)
-
-
-def eventually_clifford(S, budget=DEFAULT_BUDGET):
-    """Every element has a power inside a subgroup."""
-    if is_finite(S):
-        # finite semigroups are periodic, so some power is idempotent
-        return Verdict(HOLDS, "finite", {"kind": "finite"}, budget)
-    exponents, divergent, cap = bounded_view(S, budget).orbit_profile
-    evidence = {"kind": "orbit_profile", "divergent_at_bound": divergent[:8],
-                "step_cap": cap}
-    return _declared(S, "eventually_clifford", budget, evidence) or Verdict(
-        UNKNOWN, "search", evidence, budget)
+                        "products_within": sorted(set(declared_part))})
+    return _settle(S, "clifford_singular", view, UNKNOWN,
+                   {"kind": "search_exhausted", "best_length": len(group)})
 
 
 def unipotent(S, budget=DEFAULT_BUDGET):
     """Exactly one idempotent."""
-    if is_finite(S):
-        idem = S.idempotent_codes
-        if len(idem) == 1:
-            return Verdict(HOLDS, "finite", {"kind": "finite", "idempotent": idem[0]},
-                           budget)
-        return Verdict(FAILS, "finite",
-                       {"kind": "idempotent_pair", "pair": list(idem[:2])}, budget)
-    idem = bounded_view(S, budget).idempotents
+    view = bounded_view(S, budget)
+    idem = view.idempotents
     if len(idem) >= 2:
-        _guard_declaration(S, "unipotent", FAILS)
-        return Verdict(FAILS, "search",
-                       {"kind": "idempotent_pair", "pair": list(idem[:2])}, budget)
-    evidence = {"kind": "search_exhausted", "idempotents_seen": len(idem)}
-    return _declared(S, "unipotent", budget, evidence) or Verdict(
-        UNKNOWN, "search", evidence, budget)
+        status, witness = FAILS, {"kind": "idempotent_pair", "pair": list(idem[:2])}
+    elif view.exact:
+        status, witness = HOLDS, {"kind": "finite", "idempotent": idem[0]}
+    else:
+        status, witness = UNKNOWN, {"kind": "search_exhausted",
+                                    "idempotents_seen": len(idem)}
+    return _settle(S, "unipotent", view, status, witness)
 
 
 def commutative(S, budget=DEFAULT_BUDGET):
-    if is_finite(S):
-        if S.commutative:
-            return Verdict(HOLDS, "finite", {"kind": "finite"}, budget)
-        pair = next((x, y) for x in S.elements() for y in S.elements()
-                    if S.mul(x, y) != S.mul(y, x))
-        return Verdict(FAILS, "finite",
-                       {"kind": "noncommuting_pair", "pair": list(pair)}, budget)
-    pre = bounded_view(S, budget).codes
-    examined = 0
-    for i, x in enumerate(pre):
-        for y in pre[i + 1:]:
-            examined += 1
-            if S.mul(x, y) != S.mul(y, x):
-                _guard_declaration(S, "commutative", FAILS)
-                return Verdict(FAILS, "search",
-                               {"kind": "noncommuting_pair", "pair": [x, y]}, budget)
-            if examined >= budget.steps:
-                break
-        if examined >= budget.steps:
-            break
-    evidence = {"kind": "search_exhausted", "pairs_checked": examined}
-    return _declared(S, "commutative", budget, evidence) or Verdict(
-        UNKNOWN, "search", evidence, budget)
+    """Every pair commutes; a stream checks at most ``steps`` pairs."""
+    view = bounded_view(S, budget)
+    pairs = itertools.combinations(view.codes, 2)
+    if not view.exact:
+        pairs = itertools.islice(pairs, budget.steps)
+    mul = S.mul
+    pair = next(((x, y) for x, y in pairs if mul(x, y) != mul(y, x)), None)
+    if pair is not None:
+        status, witness = FAILS, {"kind": "noncommuting_pair", "pair": list(pair)}
+    elif view.exact:
+        status, witness = HOLDS, {"kind": "finite"}
+    else:
+        checked = min(budget.steps, math.comb(len(view.codes), 2))
+        status, witness = UNKNOWN, {"kind": "search_exhausted", "pairs_checked": checked}
+    return _settle(S, "commutative", view, status, witness)
 
 
 PREDICATES = {

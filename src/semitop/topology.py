@@ -39,7 +39,7 @@ from .errors import (
     NotFound,
     NotIdempotent,
 )
-from .predicates import FAILS, HOLDS, UNKNOWN, Verdict
+from .predicates import FAILS, HOLDS, UNKNOWN, Verdict, _facts
 
 # evidence threshold: an up-set this large at the bound counts as
 # "infinite-looking" when hunting for a non-isolated idempotent
@@ -531,10 +531,10 @@ def sufficient_regularity(base, sample=16, seed=0):
     S, e, mode, budget = base.S, base.e, base.kind, base.budget
     rng = random.Random(seed)
     hypotheses = {}
-    declared = (S.declared_facts or {}) if not is_finite(S) else {}
+    declared = _facts(S)
 
     def wf_status(fact_key):
-        if is_finite(S):
+        if base.view.exact:
             return "confirmed"
         if fact_key in declared:
             return "declared" if declared[fact_key] else "refuted"

@@ -173,6 +173,47 @@ def test_topology_matches_the_golden_digests(capsys, tmp_path, builder, kind):
     assert digests == TOPOLOGY_DIGESTS[builder, kind]
 
 
+# sha256 of stdout on finite inputs: the finite predicate paths must keep
+# their report bytes.  A target ending in .cayley names a fixture file; the
+# enumerate target is its argument list.
+FINITE_DIGESTS = {
+    ("classify", "chain3.cayley"): "67207c9520aab2ac18fe901c0aee34211890a46b29a687ae9e3b68db8a37c98c",
+    ("classify", "m3.cayley"): "656161ae91a68686d25c71780743ae4920b042f441aa2ab10f6574a7701f7bc5",
+    ("classify", "cyclic:6"): "741e7b03e9c79614748d90bb945b211999fb9ad5eb812416a33f1be68dcf2019",
+    ("classify", "zero:4"): "7f91ab79cbfbc2fd4c6c8b29ed37f4d72a233589a7232ae44ba86cb4dacc6a16",
+    ("classify", "leftzero:3"): "e701ec83ec7c4efce4eccdb2757318baa02dbc76071b67b8ff48461e760e16ab",
+    ("classify", "chain:4"): "21a8deae77e7264b3a4628891e0b64792b638874c147d25d5fb0cdf78b9af764",
+    ("classify", "flat:7"): "09c02a7f6df5dc8d1c1ab49f4f6dc977906d5e60a2abf54333126431d335e03c",
+    ("classify", "m3"): "932b4b0c592d2e6d4f8d5c844d009fcce9f3042d7f5faef5c11bf27e3552bb98",
+    ("classify", "monogenic:3,2"): "6ed369468ff77a94d91422e19b8248e9ab000f54cb92f193cfcbb8460fee85c8",
+    ("classify", "groupunion:2,3"): "28ecd3f73ff5cf18e70c518a3c164b9e9244a7e337ed719cb916739b276f88bc",
+    ("predicates", "chain3.cayley"): "8251e0c684895605f3a02fce57712fcf0bb92bbdaf1b44450ba374490debbcc1",
+    ("predicates", "m3.cayley"): "a46d02982fa70ceb6639334748e68a6da29ca740bb0b307b84d8a623af1b738a",
+    ("predicates", "cyclic:6"): "f16ad9634ee10213b6a0bf53089df11d325c5dcc6ab9c2ff02c5219b96f0a679",
+    ("predicates", "zero:4"): "68440ecaf4c12f9d3e0f6de0fd76a240b8867db3cfa61d045369ea76c3790907",
+    ("predicates", "leftzero:3"): "f2273bfa9d3ee8062c98a7a89ee7e3bb4faaddd5aabaa935dd87e550ffd76f1b",
+    ("predicates", "chain:4"): "a078ad487247ae60b1f7c694f0194caed9a4f01ca824b20e204d1e0709541e84",
+    ("predicates", "flat:7"): "55af4c22a11db5c77dac814db56d9db5c6f90f69a27cf35a547460cf197d8572",
+    ("predicates", "m3"): "a46d02982fa70ceb6639334748e68a6da29ca740bb0b307b84d8a623af1b738a",
+    ("predicates", "monogenic:3,2"): "9962f51ce9a2faa731fd3739a2ab992c1d6fa03162e6cc764ff242663c06500b",
+    ("predicates", "groupunion:2,3"): "1a9ed9282eb31823604ef36d29570ab0056b4f5b403f5092483328a59f9d5ec9",
+    ("enumerate", "3 --dedupe-iso"): "041371321aa6646d859170ddbf847e267255ff1b70f92f6bb5d00116837a274a",
+}
+
+
+@pytest.mark.parametrize("command,target", sorted(FINITE_DIGESTS))
+def test_finite_reports_match_the_golden_digests(capsys, fixtures_dir, command, target):
+    if target.endswith(".cayley"):
+        argv = [str(fixtures_dir / target)]
+    elif command == "enumerate":
+        argv = target.split()
+    else:
+        argv = ["--builder", target]
+    code, out, _ = run(capsys, command, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FINITE_DIGESTS[command, target]
+
+
 def test_python_dash_m_runs_the_cli(capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["semitop", "--help"])
     with pytest.raises(SystemExit) as exc:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracle_brute as ob
-from metering import capped
+from metering import capped, counted
 
 from semitop.builders import (
     chain_semilattice,
@@ -280,6 +280,18 @@ def test_stream_view_matches_the_finite_structure_maps():
         assert view.center == S.center_codes, name
         assert view.subgroup_of == S.subgroup_idempotent, name
         assert clifford_parts(stream, budget).classes == clifford_parts(S).classes, name
+
+
+def test_stream_h_class_reads_the_view_subgroup():
+    # the stream H-class of an idempotent is the view's subgroup certificate:
+    # at most 41 products per table here, where two-sided divisibility
+    # witnesses took up to 455
+    for name, S in standard_finite_corpus():
+        stream, meter = counted(build_stream(name, S.mul, lambda n=S.size: iter(range(n))),
+                                cap=64)
+        for e in S.idempotent_codes:
+            cls = h_class(stream, e, Budget(16, 256))
+            assert cls.elements == h_class(S, e).elements and not cls.exact, (name, e)
 
 
 def test_bounded_view_is_kept_per_handle_and_budget():

@@ -4,6 +4,8 @@ import pytest
 
 import oracle_brute as ob
 
+from semitop import core, predicates
+
 from semitop.builders import (
     cyclic_group,
     flat_stream,
@@ -39,6 +41,19 @@ from semitop.predicates import (
 )
 
 BUDGET = Budget(64, 1024)
+
+
+def test_exact_views_run_no_stream_search(monkeypatch):
+    # a finite table's verdicts are read off its exact view, never searched
+    def boom(*args):
+        raise AssertionError("stream search on an exact view")
+
+    monkeypatch.setattr(predicates, "_chain_search", boom)
+    monkeypatch.setattr(predicates, "_singular_search", boom)
+    monkeypatch.setattr(core.Prefix, "orbit_profile", property(boom))
+    for name, S in standard_finite_corpus():
+        for pname, v in evaluate_suite(S, BUDGET).items():
+            assert v.definite and v.source == "finite", (name, pname)
 
 
 def test_three_valued_connectives():
