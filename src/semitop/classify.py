@@ -95,17 +95,20 @@ def finiteness(S, budget=DEFAULT_BUDGET):
                    {"kind": "prefix_only", "prefix_at_least": len(probe)}, budget)
 
 
-def center_subsemigroup(S, budget=DEFAULT_BUDGET):
+def center_subsemigroup(S, budget=DEFAULT_BUDGET, commutative=None):
     """A handle for the center, or None when it is empty (certified on
     finite handles; on streams, no central code among the first
     ``max(elements, steps)``), and whether the answer is exact.
 
-    Commutative handles are their own center.  A finite handle restricts
-    exactly.  A stream filters its enumerator through the view's pointwise
-    centrality test, which is sound only at bound; declared center facts
-    ride along via ``center_facts``."""
+    Commutative handles are their own center; ``commutative``, when given,
+    is a finite handle's exact answer and spares the table its scan.  A
+    finite handle restricts exactly.  A stream filters its enumerator
+    through the view's pointwise centrality test, which is sound only at
+    bound; declared center facts ride along via ``center_facts``."""
     if is_finite(S):
-        if S.commutative:
+        if commutative is None:
+            commutative = S.commutative
+        if commutative:
             return S, True
         codes = S.center_codes
         if not codes:
@@ -184,8 +187,11 @@ def _center_blocked(kind, analysis, budget):
 def center_necessary_conditions(S, budget=DEFAULT_BUDGET, suite=None):
     """Evaluate the predicate suite on the center and derive the negatives
     it forces for the whole semigroup.  ``suite`` lets a caller share an
-    already computed suite when the center is the whole carrier."""
-    handle, exact = center_subsemigroup(S, budget)
+    already computed suite when the center is the whole carrier, and an
+    exact suite settles commutativity for the center."""
+    known = suite["commutative"] if suite else None
+    exact_commutative = known.holds if known and known.source == "finite" else None
+    handle, exact = center_subsemigroup(S, budget, exact_commutative)
     if handle is None:
         # on a stream, an infinite center may start past the probe
         scanned = max(budget.elements, budget.steps)

@@ -11,7 +11,10 @@ search residue attached.
 
 Budget convention for the searches here: ``elements`` caps enumerated
 prefixes and witness sizes, ``steps`` caps examined candidates in greedy
-growth and exponent steps in orbit walks.
+growth and exponent steps in orbit walks.  Growing a witness of k codes
+costs the chain search O(k log k) products when the witness is a chain in
+the natural order, plus a full scan of the witness for each accepted pair
+the order cannot compare; the singular search checks every pair, O(k^2).
 """
 
 from __future__ import annotations
@@ -127,20 +130,60 @@ def _chain_search(S, budget):
     """Grow a set whose pairwise products (diagonal included) stay inside
     the pair, restarting from each seed until the candidate budget runs out.
     The candidate pool is deeper than the target so sparse chains are still
-    reached.  Returns (witness elements or None, best length seen)."""
+    reached.  Returns (witness elements or None, best length seen).
+
+    Such a set is made of idempotents, each pair comparable in the natural
+    order (e <= f iff ef = fe = e) or a left- or right-zero pair.  Members
+    met only comparable are kept ascending in ``line``; the order is
+    transitive in every semigroup, so a candidate that fits between two
+    neighbours of ``line`` fits all of it, and bisection replaces the scan.
+    The rest go to ``side``, which every candidate checks in full.  So the
+    pairwise greedy's candidates are accepted, in the same order, at
+    O(k log k) products on a chain in the natural order plus a full scan
+    per incomparable accepted pair.  ``replay`` still checks every pair."""
+    mul = S.mul
     pool = carrier_prefix(S, max(budget.elements, budget.steps))
     target = budget.elements
     examined = 0
     best = 0
+
+    def fits(x, c):
+        return mul(x, c) in (x, c) and mul(c, x) in (x, c)
+
+    def slot(x, line):
+        """x's index in ``line``, -1 to put x in ``side``, None to reject."""
+        lo, hi = 0, len(line)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            c = line[mid]
+            xc = mul(x, c)
+            if xc not in (x, c):
+                return None
+            cx = mul(c, x)
+            if cx not in (x, c):
+                return None
+            if xc != cx:
+                return -1 if all(fits(x, d) for d in line) else None
+            if xc == c:  # c <= x
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
+
     for start in range(len(pool)):
-        chain = []
+        chain, line, side = [], [], []
         for x in pool[start:] + pool[:start]:
             examined += 1
-            if S.mul(x, x) == x and all(
-                    S.mul(x, c) in (x, c) and S.mul(c, x) in (x, c) for c in chain):
-                chain.append(x)
-                if len(chain) >= target:
-                    return chain, len(chain)
+            if mul(x, x) == x and all(fits(x, c) for c in side):
+                at = slot(x, line)
+                if at is not None:
+                    chain.append(x)
+                    if at < 0:
+                        side.append(x)
+                    else:
+                        line.insert(at, x)
+                    if len(chain) >= target:
+                        return chain, len(chain)
             if examined >= budget.steps:
                 return None, max(best, len(chain))
         best = max(best, len(chain))

@@ -169,3 +169,26 @@ def ideals(t):
             if all(t[i][x] in s and t[x][i] in s for i in s for x in range(n)):
                 out.append(sub)
     return out
+
+
+def greedy_chain(mul, pool, target, steps):
+    """The pairwise greedy chain search over a candidate ``pool``: restart
+    from each seed, keep every idempotent whose products with each kept
+    code, in both orders, stay inside the pair, and stop at ``target`` kept
+    codes or ``steps`` examined candidates.  Returns (kept codes or None,
+    best length seen)."""
+    examined = 0
+    best = 0
+    for start in range(len(pool)):
+        kept = []
+        for x in pool[start:] + pool[:start]:
+            examined += 1
+            if mul(x, x) == x and all(
+                    mul(x, c) in (x, c) and mul(c, x) in (x, c) for c in kept):
+                kept.append(x)
+                if len(kept) >= target:
+                    return kept, len(kept)
+            if examined >= steps:
+                return None, max(best, len(kept))
+        best = max(best, len(kept))
+    return None, best

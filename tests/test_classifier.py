@@ -10,8 +10,8 @@ from semitop.builders import (
     stream_corpus,
     zero_semigroup,
 )
-from semitop.classify import classify, implication_violations
-from semitop.core import Budget, direct_product
+from semitop.classify import center_necessary_conditions, classify, implication_violations
+from semitop.core import Budget, build_finite, direct_product
 from semitop.corpus import enumerate_finite
 from semitop.predicates import FAILS, HOLDS, UNKNOWN, Verdict
 
@@ -115,6 +115,27 @@ def test_intadd_classification_stays_under_its_multiplication_ceiling():
     # recomputed by each Clifford predicate (about 210 k)
     S = capped(STREAMS["intadd"], 100_000)
     classify(S, Budget(256, 4096), name="intadd")
+
+
+def test_chain_search_keeps_stream_classification_under_its_ceilings():
+    # about 68 k and 327 k products; a pairwise chain search alone costs
+    # 1024^2 = 1,048,576 on natmin and 1,054,702 on prodcenter
+    for name, ceiling in (("natmin", 100_000), ("prodcenter", 400_000)):
+        classify(capped(STREAMS[name], ceiling), Budget(1024, 16384), name=name)
+
+
+def test_finite_classify_takes_commutativity_from_its_suite():
+    # the suite's exact verdict spares the center its table scan, and the
+    # center analysis agrees with the one that scans
+    for name, S in standard_finite_corpus():
+        fresh = build_finite([list(row) for row in S.table])
+        center = classify(fresh, BUDGET, name=name).center
+        assert "commutative" not in vars(fresh), name
+        alone = center_necessary_conditions(S, BUDGET)
+        assert (center.empty, center.center_finite, center.closed_necessary,
+                center.injective_necessary) == (
+            alone.empty, alone.center_finite, alone.closed_necessary,
+            alone.injective_necessary), name
 
 
 def test_t2s_holding_where_closedness_fails_is_flagged():

@@ -1,15 +1,21 @@
 """Predicate verdicts: finite certainties, stream searches, declarations."""
 
+import itertools
+
 import pytest
 
 import oracle_brute as ob
+from metering import counted
 
 from semitop import core, predicates
 
 from semitop.builders import (
+    adjoin_identity,
+    chain_semilattice,
     cyclic_group,
     flat_stream,
     intadd,
+    left_zero,
     natmin,
     natplus,
     nullstream,
@@ -17,7 +23,8 @@ from semitop.builders import (
     stream_corpus,
     zero_semigroup,
 )
-from semitop.core import Budget, build_stream
+from semitop.core import Budget, build_finite, build_stream, direct_product
+from semitop.corpus import enumerate_finite
 from semitop.errors import CorpusIntegrityError
 from semitop.predicates import (
     FAILS,
@@ -178,3 +185,74 @@ def test_replay_rejects_inflated_chain_length():
     from semitop.predicates import Verdict
     fake = Verdict(v.status, v.source, v.witness | {"length": 99}, v.budget)
     assert not replay(natmin(), "chain_finite", fake)
+
+
+def _as_stream(name, S):
+    return build_stream(name, S.mul, lambda n=S.size: iter(range(n)))
+
+
+def _pairwise_greedy(S, budget):
+    pool = list(itertools.islice(S.enumerate_carrier(),
+                                 max(budget.elements, budget.steps)))
+    return ob.greedy_chain(S.mul, pool, budget.elements, budget.steps)
+
+
+SMALL_BUDGETS = [Budget(2, 8), Budget(3, 16), Budget(4, 64), Budget(8, 64)]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_chain_search_matches_the_pairwise_greedy_on_small_tables(n):
+    for k, S in enumerate(enumerate_finite(n)):
+        T = _as_stream(f"table{n}.{k}", S)
+        for budget in SMALL_BUDGETS:
+            assert predicates._chain_search(T, budget) == _pairwise_greedy(T, budget), (
+                n, k, budget)
+
+
+def _rectangular_band(rows, cols):
+    """(i, j)(k, l) = (i, l) on the codes i * cols + j."""
+    n = rows * cols
+    return build_finite([[x - x % cols + y % cols for y in range(n)] for x in range(n)])
+
+
+@pytest.mark.parametrize("name,S", [
+    ("leftzero:5", left_zero(5)),
+    ("rectangular 3x4", _rectangular_band(3, 4)),
+    ("leftzero:2+one x chain:9", direct_product(adjoin_identity(left_zero(2)),
+                                                chain_semilattice(9))),
+])
+def test_chain_search_matches_the_pairwise_greedy_on_bands(name, S):
+    # accepted pairs here are often left- or right-zero pairs, which the
+    # natural order cannot place, so the full scan of ``side`` is exercised
+    T = _as_stream(name, S)
+    for budget in SMALL_BUDGETS + [Budget(16, 256), Budget(32, 1024)]:
+        assert predicates._chain_search(T, budget) == _pairwise_greedy(T, budget), (
+            name, budget)
+
+
+@pytest.mark.parametrize("budget", [Budget(64, 1024), Budget(256, 4096)])
+def test_chain_search_matches_the_pairwise_greedy_on_streams(budget):
+    for name, S in stream_corpus():
+        assert predicates._chain_search(S, budget) == _pairwise_greedy(S, budget), name
+
+
+def test_chain_search_bisects_the_natural_order():
+    # 1024 codes under min: about 17 products each, against 1024 pairwise
+    S, meter = counted(natmin())
+    found, best = predicates._chain_search(S, Budget(1024, 16384))
+    assert found == list(range(1024)) and best == 1024
+    assert meter.calls < 25_000
+
+
+def test_replay_checks_every_pair_of_a_chain():
+    # min, except that 0 * 3 leaves the pair: every pair of neighbours, in
+    # the witness and in the order, still fits.  No semigroup breaks this
+    # way (the natural order is transitive), so the sanity check is off.
+    def mul(x, y):
+        return 7 if {x, y} == {0, 3} else min(x, y)
+
+    broken = build_stream("broken", mul, lambda: iter(range(8)), check=0)
+    witness = {"kind": "chain", "elements": [0, 1, 2, 3], "length": 4}
+    v = Verdict(FAILS, "search", witness, BUDGET)
+    assert replay(natmin(), "chain_finite", v)
+    assert not replay(broken, "chain_finite", v)
