@@ -224,7 +224,9 @@ def intadd():
     def dec(c):
         return (c + 1) // 2 if c % 2 else -(c // 2)
 
-    def enc(v):
+    def add(x, y):
+        # dec(x) + dec(y), encoded again, in one call per product
+        v = ((x + 1) // 2 if x % 2 else -(x // 2)) + ((y + 1) // 2 if y % 2 else -(y // 2))
         return 2 * v - 1 if v > 0 else -2 * v
 
     facts = {
@@ -235,7 +237,7 @@ def intadd():
         "clifford_singular": False, "eventually_clifford": True,
         "unipotent": True, "ez_chain_finite": True, "ez_infinite": False,
     }
-    return build_stream("intadd", lambda x, y: enc(dec(x) + dec(y)),
+    return build_stream("intadd", add,
                         _count_from(0), lambda c: str(dec(c)),
                         declared_facts=facts, center_facts=facts)
 

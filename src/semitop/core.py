@@ -253,6 +253,8 @@ class StreamSemigroup:
     {x : x*e == b} exactly when the family can; ``declared_facts`` carries
     ground-truth property values the builder vouches for, and
     ``center_facts`` optionally does the same for the center subsemigroup.
+    ``mul`` is ``mul_fn`` itself, so a product is one call; it is not a
+    field, and ``dataclasses.replace`` binds it to the copy's ``mul_fn``.
     """
 
     name: str
@@ -264,8 +266,8 @@ class StreamSemigroup:
     center_facts: Optional[dict] = None
     _views: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def mul(self, x, y):
-        return self.mul_fn(x, y)
+    def __post_init__(self):
+        self.mul = self.mul_fn
 
 
 Semigroup = Union[FiniteSemigroup, StreamSemigroup]
@@ -363,6 +365,10 @@ class Prefix:
         return frozenset(self.idempotents)
 
     @cached_property
+    def _code_set(self):
+        return frozenset(self.codes)
+
+    @cached_property
     def center(self):
         """Codes commuting with every code: on a stream neither an under-
         nor an over-approximation of the center.  A stream declared
@@ -423,13 +429,29 @@ class Prefix:
         """The idempotent f of x's subgroup, or None with no certificate in
         the prefix: f fixes x on both sides, and x == f or some code v has
         x*v == v*x == f.  Then x is H-related to f, so at most one f
-        qualifies."""
-        if x not in self._subgroup:
-            mul, pre = self.S.mul, self.codes
-            self._subgroup[x] = x if x in self._idempotent_set else next(
-                (f for f in self.idempotents if mul(f, x) == x and mul(x, f) == x
-                 and any(mul(x, v) == f and mul(v, x) == f for v in pre)), None)
-        return self._subgroup[x]
+        qualifies.
+
+        Certificates come in pairs.  When x is a prefix code with witness
+        v and f*v == v (then v*f == v*x*v == f*v == v), x is v's witness,
+        so f qualifies for v; as f is the only idempotent that can, it is
+        the one v's own scan would find, and v's entry is recorded without
+        that scan."""
+        if x in self._subgroup:
+            return self._subgroup[x]
+        if x in self._idempotent_set:
+            self._subgroup[x] = x
+            return x
+        mul, pre = self.S.mul, self.codes
+        for f in self.idempotents:
+            if mul(f, x) == x and mul(x, f) == x:
+                for v in pre:
+                    if mul(x, v) == f and mul(v, x) == f:
+                        self._subgroup[x] = f
+                        if v not in self._subgroup and x in self._code_set and mul(f, v) == v:
+                            self._subgroup[v] = f
+                        return f
+        self._subgroup[x] = None
+        return None
 
     @cached_property
     def subgroup_of(self):
@@ -754,12 +776,12 @@ def direct_product(A, B, declared_facts=None, center_facts=None):
         labels = tuple(f"{A.labels[i]}|{B.labels[j]}" for i in range(na) for j in range(nb))
         return build_finite(rows, labels=labels)
     if is_finite(A) and not is_finite(B):
-        n = A.size
+        n, table, bmul = A.size, A.table, B.mul
 
         def pmul(x, y):
-            xa, xb = x % n, x // n
-            ya, yb = y % n, y // n
-            return A.mul(xa, ya) + n * B.mul(xb, yb)
+            xb, xa = divmod(x, n)
+            yb, ya = divmod(y, n)
+            return table[xa][ya] + n * bmul(xb, yb)
 
         def penum():
             for bcode in B.enumerate_carrier():

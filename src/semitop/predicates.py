@@ -193,19 +193,20 @@ def _chain_search(S, budget):
 def _singular_search(S, budget):
     """Grow a set A with A*A equal to one fixed constant (the seed's
     square).  Returns (elements, constant) or (None, best length)."""
+    mul = S.mul
     pool = carrier_prefix(S, max(budget.elements, budget.steps))
     target = budget.elements
     examined = 0
     best = 0
     for seed in pool:
-        c = S.mul(seed, seed)
+        c = mul(seed, seed)
         group = [seed]
         for x in pool:
             if x == seed:
                 continue
             examined += 1
-            if S.mul(x, x) == c and all(
-                    S.mul(x, a) == c and S.mul(a, x) == c for a in group):
+            if mul(x, x) == c and all(
+                    mul(x, a) == c and mul(a, x) == c for a in group):
                 group.append(x)
                 if len(group) >= target:
                     return group, c, len(group)
@@ -407,9 +408,10 @@ def clifford_singular(S, budget=DEFAULT_BUDGET):
         return _settle(S, "clifford_singular", view, FAILS, {"kind": "finite"})
     declared_part = _facts(S).get("clifford_part_codes")
     part = set(declared_part) if declared_part is not None else _clifford_members(view)
+    mul = S.mul
 
     def in_part(x):
-        return x in part or S.mul(x, x) == x
+        return x in part or mul(x, x) == x
 
     candidates = [x for x in view.codes if not in_part(x)]
     # the pool excludes the subgroup union, so cap the target by what exists
@@ -420,8 +422,8 @@ def clifford_singular(S, budget=DEFAULT_BUDGET):
         examined += 1
         if examined > budget.steps:
             break
-        if in_part(S.mul(x, x)) and all(
-                in_part(S.mul(x, a)) and in_part(S.mul(a, x)) for a in group):
+        if in_part(mul(x, x)) and all(
+                in_part(mul(x, a)) and in_part(mul(a, x)) for a in group):
             group.append(x)
             if len(group) >= target:
                 break

@@ -192,3 +192,21 @@ def greedy_chain(mul, pool, target, steps):
                 return None, max(best, len(kept))
         best = max(best, len(kept))
     return None, best
+
+
+def subgroup_certificate(mul, idempotents, prefix, codes=None):
+    """The inverse-witness subgroup certificate, one scan per code and no
+    memo: each code x of ``codes`` (default ``prefix``) maps to the first
+    of ``idempotents`` that is x itself, or fixes x on both sides with some
+    v of ``prefix`` having x*v == v*x == f.  Codes with none are left out."""
+    out = {}
+    for x in prefix if codes is None else codes:
+        if x in idempotents:
+            out[x] = x
+            continue
+        for f in idempotents:
+            if mul(f, x) == x and mul(x, f) == x and any(
+                    mul(x, v) == f and mul(v, x) == f for v in prefix):
+                out[x] = f
+                break
+    return out

@@ -111,10 +111,17 @@ def test_empty_stream_center_is_unknown_not_a_hang():
 
 
 def test_intadd_classification_stays_under_its_multiplication_ceiling():
-    # about 58 k products; the ceiling catches the subgroup certificate
+    # about 42 k products; the ceiling catches the subgroup certificate
     # recomputed by each Clifford predicate (about 210 k)
     S = capped(STREAMS["intadd"], 100_000)
     classify(S, Budget(256, 4096), name="intadd")
+
+
+def test_intadd_subgroup_certificate_scans_each_inverse_pair_once():
+    # about 364 k products at 1024/16384; scanning k and its inverse -k
+    # each for the other costs about 627 k
+    S = capped(STREAMS["intadd"], 400_000)
+    classify(S, Budget(1024, 16384), name="intadd")
 
 
 def test_chain_search_keeps_stream_classification_under_its_ceilings():

@@ -1,9 +1,11 @@
 """Core structure: tables, orders, H-classes, powers, constructions."""
 
 import dataclasses
+import importlib.util
 import itertools
 import operator
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -24,6 +26,7 @@ from semitop.builders import (
     stream_corpus,
     zero_semigroup,
 )
+from semitop.classify import classify
 from semitop.core import (
     Budget,
     adjoin_identity,
@@ -280,6 +283,77 @@ def test_stream_view_matches_the_finite_structure_maps():
         assert view.center == S.center_codes, name
         assert view.subgroup_of == S.subgroup_idempotent, name
         assert clifford_parts(stream, budget).classes == clifford_parts(S).classes, name
+
+
+def test_subgroup_certificates_recorded_in_pairs_match_one_scan_per_code():
+    # the view records an inverse's certificate with the code it came from;
+    # that must be what the inverse's own scan over the prefix would find
+    streams = dict(stream_corpus())
+    for name in ("intadd", "natmin", "prodcenter"):
+        S = streams[name]
+        for budget in (Budget(64, 1024), Budget(256, 4096)):
+            prefix = list(itertools.islice(S.enumerate_carrier(), budget.elements))
+            idem = [x for x in prefix if S.mul(x, x) == x]
+            expected = ob.subgroup_certificate(S.mul, idem, prefix)
+            assert bounded_view(S, budget).subgroup_of == expected, (name, budget)
+    # tables as streams, at every prefix length; with a short prefix some
+    # inverses fall outside it.  Codes are asked from the top down, so a
+    # code meets its witnesses before they are asked: a witness in the
+    # prefix takes a certificate only from a prefix code, and only when it
+    # lies in the same subgroup (in (max-chain) x C3, (1, g) has the
+    # witness (0, g^-1), which lies in another subgroup)
+    top_first = build_finite([[max(i, j) for j in range(3)] for i in range(3)])
+    tables = standard_finite_corpus() + [("maxchain:3 x cyclic:3",
+                                          direct_product(top_first, cyclic_group(3)))]
+    clipped = 0
+    for name, S in tables:
+        down = range(S.size - 1, -1, -1)
+        for k in range(1, S.size + 1):
+            stream = build_stream(name, S.mul, lambda n=S.size: iter(range(n)))
+            view = bounded_view(stream, Budget(k, 256))
+            prefix = list(range(k))
+            idem = [x for x in prefix if S.mul(x, x) == x]
+            asked = ob.subgroup_certificate(S.mul, idem, prefix, down)
+            assert [view.subgroup_idempotent(x) for x in down] == [
+                asked.get(x) for x in down], (name, k)
+            expected = ob.subgroup_certificate(S.mul, idem, prefix)
+            assert view.subgroup_of == expected, (name, k)
+            clipped += any(S.subgroup_idempotent.get(x) != expected.get(x) for x in prefix)
+    assert clipped
+
+
+def test_stream_mul_is_one_call_and_counted_copies_count_every_product():
+    # ``mul`` is ``mul_fn`` itself, bound again on every replaced copy, so
+    # each counter sees exactly the products a hand-wrapped ``mul_fn`` sees
+    spans = _load_bench_spans()
+    budget = Budget(64, 1024)
+    for name, S in stream_corpus():
+        assert S.mul is S.mul_fn, name
+        hand = [0]
+
+        def by_hand(x, y, inner=S.mul_fn):
+            hand[0] += 1
+            return inner(x, y)
+
+        T, meter = counted(dataclasses.replace(S, mul_fn=by_hand))
+        assert T.mul is T.mul_fn and T.mul is not by_hand, name
+        classify(T, budget, name=name)
+        assert meter.calls == hand[0] > 0, name
+
+        tracer = spans.Tracer()
+        hand[0] = 0
+        U = tracer.counted(dataclasses.replace(S, mul_fn=by_hand))
+        assert U.mul is U.mul_fn and U.mul is not by_hand, name
+        classify(U, budget, name=name)
+        assert tracer.mul_calls == hand[0] == meter.calls, name
+
+
+def _load_bench_spans():
+    path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_stream_h_class_reads_the_view_subgroup():
