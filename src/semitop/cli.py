@@ -12,9 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
 from .builders import BUILDER_NAMES, build
-from .core import Budget, is_finite, label_of
+from .core import Budget, build_finite, is_finite, label_of
 from .classify import classify
 from .corpus import (
     COMMUTATIVE_ISO_CLASS_COUNTS,
@@ -22,7 +23,7 @@ from .corpus import (
     ISO_CLASS_COUNTS,
     LABELED_COUNTS,
     ReportDocument,
-    dedupe_iso,
+    canonical_table,
     entry_from_builder,
     entry_from_file,
     enumerate_finite,
@@ -98,6 +99,10 @@ def build_parser():
 
 
 def _budget(args):
+    for flag in ("budget_elems", "budget_steps", "budget"):
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            raise BadParameter(f"--{flag.replace('_', '-')} must be at least 1, got {value}")
     elems = args.budget_elems if args.budget_elems is not None else args.budget
     return Budget(elements=elems if elems is not None else 256,
                   steps=args.budget_steps if args.budget_steps is not None else 4096)
@@ -239,26 +244,29 @@ def _frozen_count(n, commutative_only, deduped):
 
 
 def cmd_enumerate(args):
+    # An exact structural verdict does not change under relabeling, so each
+    # isomorphism class is classified once, in canonical form, and counts
+    # with weight equal to its class size (1 when classes are the unit).
     budget = _budget(args)
-    stream = enumerate_finite(args.n, commutative_only=args.commutative_only)
-    if args.dedupe_iso:
-        stream = dedupe_iso(stream)
+    classes = Counter(canonical_table(S) for S in
+                      enumerate_finite(args.n, commutative_only=args.commutative_only))
 
     count = 0
     commutative = 0
     theorem_tally = {}
     predicate_tally = {}
-    for S in stream:
-        count += 1
+    for canon, size in classes.items():
+        weight = 1 if args.dedupe_iso else size
+        S = build_finite(canon)
+        count += weight
         if S.commutative:
-            commutative += 1
+            commutative += weight
         report = classify(S, budget)
-        for name, verdict in report.theorems.items():
-            theorem_tally.setdefault(name, {"holds": 0, "fails": 0, "unknown": 0})
-            theorem_tally[name][verdict.status] += 1
-        for name, verdict in report.suite.items():
-            predicate_tally.setdefault(name, {"holds": 0, "fails": 0, "unknown": 0})
-            predicate_tally[name][verdict.status] += 1
+        for tally, verdicts in ((theorem_tally, report.theorems),
+                                (predicate_tally, report.suite)):
+            for name, verdict in verdicts.items():
+                tally.setdefault(name, {"holds": 0, "fails": 0, "unknown": 0})
+                tally[name][verdict.status] += weight
 
     frozen = _frozen_count(args.n, args.commutative_only, args.dedupe_iso)
     variant = ("isomorphism classes" if args.dedupe_iso else "labeled semigroups")

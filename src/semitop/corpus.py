@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .classify import classify
-from .core import DEFAULT_BUDGET, build_finite, is_finite
+from .core import DEFAULT_BUDGET, FiniteSemigroup, build_finite, is_finite
 from .errors import BadParameter, ParseError, SchemaMismatch, SizeCapExceeded
 
 SCHEMA_VERSION = 1
@@ -26,6 +26,10 @@ TOOL = "semitop 0.1.0"
 # Largest order the exhaustive enumerator (and the relabeling canonicalizer)
 # will accept.
 ENUMERATION_CAP = 4
+# each relabeling of each order up to the cap, as a permutation and its inverse
+_RELABELINGS = {n: [(p, sorted(range(n), key=p.__getitem__))
+                    for p in itertools.permutations(range(n))]
+                for n in range(1, ENUMERATION_CAP + 1)}
 
 # Counts produced by the backtracking enumerator, cross-checked against the
 # naive filter over all n^(n^2) tables for n <= 3.  These are regression
@@ -141,19 +145,18 @@ def enumerate_finite(n, commutative_only=False):
     """All associative tables on n labeled elements, n <= 4.
 
     Backtracks cell by cell; a partial table is abandoned as soon as some
-    fully determined triple breaks associativity.  Yields validated handles.
+    fully determined triple breaks associativity.  Every triple of a yielded
+    table was checked on the way down, so the handles skip build_finite's
+    associativity test.
     """
     if not isinstance(n, int) or n < 1:
         raise BadParameter(f"order must be a positive integer, got {n!r}")
     if n > ENUMERATION_CAP:
         raise SizeCapExceeded(
             f"exhaustive enumeration is capped at order {ENUMERATION_CAP}, got {n}")
-    return _enumerated(n, commutative_only)
-
-
-def _enumerated(n, commutative_only):
-    for table in _associative_tables(n, commutative_only):
-        yield build_finite(table)
+    labels = tuple(str(i) for i in range(n))
+    return (FiniteSemigroup(table, labels)
+            for table in _associative_tables(n, commutative_only))
 
 
 def _associative_tables(n, commutative_only):
@@ -161,25 +164,31 @@ def _associative_tables(n, commutative_only):
              if not (commutative_only and j < i)]
     t = [[None] * n for _ in range(n)]
 
-    def consistent():
-        # scan every triple whose four lookups are defined; at n <= 4 the
-        # 64-triple sweep is cheaper than bookkeeping which cells changed
-        for x in range(n):
-            tx = t[x]
-            for y in range(n):
-                xy = tx[y]
-                if xy is None:
-                    continue
-                txy = t[xy]
-                ty = t[y]
-                for z in range(n):
-                    yz = ty[z]
-                    if yz is None:
-                        continue
-                    left = txy[z]
-                    if left is None or tx[yz] is None:
-                        continue
-                    if left != tx[yz]:
+    def settled(i, j):
+        # The parent partial table associated, so only the triples that read
+        # the new cell (i, j) = v can break, once all four lookups are defined:
+        # (i, j, z), (x, i, j), (x, y, j) with xy = i, and (i, y, z) with yz = j.
+        # At n = 4 this enumerates about twice as fast as sweeping all 64 triples.
+        ti, tj = t[i], t[j]
+        v = ti[j]
+        for left, jz in zip(t[v], tj):
+            if left is not None and jz is not None and ti[jz] not in (None, left):
+                return False
+        for tx in t:
+            xi, right = tx[i], tx[v]
+            if xi is not None and right is not None and t[xi][j] not in (None, right):
+                return False
+        for x, tx in enumerate(t):
+            if i not in tx and j not in tx:
+                continue
+            for y, xy in enumerate(tx):
+                if xy == i:
+                    yj = t[y][j]
+                    if yj is not None and tx[yj] not in (None, v):
+                        return False
+                if xy == j:
+                    ix = ti[x]
+                    if ix is not None and t[ix][y] not in (None, v):
                         return False
         return True
 
@@ -192,7 +201,7 @@ def _associative_tables(n, commutative_only):
             t[i][j] = v
             if commutative_only:
                 t[j][i] = v
-            if consistent():
+            if settled(i, j) and (i == j or not commutative_only or settled(j, i)):
                 yield from fill(k + 1)
         t[i][j] = None
         if commutative_only and i != j:
@@ -213,12 +222,19 @@ def relabeled_table(table, perm):
 
 def canonical_table(S):
     """Lexicographically least table over all relabelings; the isomorphism
-    invariant used for deduplication."""
-    if S.size > ENUMERATION_CAP:
+    invariant used for deduplication.
+
+    Each relabeling is built flat, out[a][b] = perm[t[inv[a]][inv[b]]]:
+    rows of equal length sort the same flat as nested, so the least flat
+    table, cut back into rows, is the least table."""
+    n = S.size
+    if n > ENUMERATION_CAP:
         raise SizeCapExceeded(
-            f"canonical form is capped at order {ENUMERATION_CAP}, got {S.size}")
-    return min(relabeled_table(S.table, perm)
-               for perm in itertools.permutations(range(S.size)))
+            f"canonical form is capped at order {ENUMERATION_CAP}, got {n}")
+    t = S.table
+    least = min(tuple([perm[t[r][c]] for r in inv for c in inv])
+                for perm, inv in _RELABELINGS[n])
+    return tuple(least[a:a + n] for a in range(0, n * n, n))
 
 
 def dedupe_iso(semigroups):

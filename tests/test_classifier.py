@@ -1,5 +1,8 @@
 """Classification rules, center propagation, and implication consistency."""
 
+import itertools
+import random
+
 from metering import capped
 
 from semitop.builders import (
@@ -12,7 +15,7 @@ from semitop.builders import (
 )
 from semitop.classify import center_necessary_conditions, classify, implication_violations
 from semitop.core import Budget, build_finite, direct_product
-from semitop.corpus import enumerate_finite
+from semitop.corpus import enumerate_finite, relabeled_table
 from semitop.predicates import FAILS, HOLDS, UNKNOWN, Verdict
 
 BUDGET = Budget(64, 2048)
@@ -182,3 +185,24 @@ def test_statuses_cover_all_three_values():
         for v in classify(S, BUDGET, name=name).theorems.values():
             seen.add(v.status)
     assert seen == {HOLDS, FAILS, UNKNOWN}
+
+
+def _statuses(S):
+    report = classify(S)
+    return (report.commutative.status,
+            {name: v.status for name, v in report.suite.items()},
+            {name: v.status for name, v in report.theorems.items()})
+
+
+def test_classification_is_invariant_under_relabeling():
+    # `enumerate` classifies one canonical table per isomorphism class and
+    # weights it by the class size, which rests on this property
+    for S in enumerate_finite(3):
+        want = _statuses(S)
+        for perm in itertools.permutations(range(3)):
+            assert _statuses(build_finite(relabeled_table(S.table, perm))) == want
+    rng = random.Random(4)
+    perms = list(itertools.permutations(range(4)))[1:]
+    for S in enumerate_finite(4):
+        R = build_finite(relabeled_table(S.table, rng.choice(perms)))
+        assert _statuses(R) == _statuses(S), S.table

@@ -115,6 +115,23 @@ def test_frozen_mismatch_is_integrity_failure(capsys, monkeypatch):
     assert "MISMATCH" in out and "disagrees" in err
 
 
+BUDGET_TARGETS = {
+    "classify": ("--builder", "natmin"),
+    "predicates": ("--builder", "natmin"),
+    "topology": ("--builder", "flat"),
+    "enumerate": ("1",),
+}
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+@pytest.mark.parametrize("flag", ["--budget-elems", "--budget-steps", "--budget"])
+@pytest.mark.parametrize("command", sorted(BUDGET_TARGETS))
+def test_non_positive_budgets_are_exit_1(capsys, command, flag, value):
+    code, out, err = run(capsys, command, *BUDGET_TARGETS[command], flag, value)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: {flag} must be at least 1, got {value}"]
+
+
 def test_enumerate_above_cap_is_exit_4(capsys):
     code, _, err = run(capsys, "enumerate", "7")
     assert code == 4 and "size cap" in err
@@ -197,7 +214,12 @@ FINITE_DIGESTS = {
     ("predicates", "m3"): "a46d02982fa70ceb6639334748e68a6da29ca740bb0b307b84d8a623af1b738a",
     ("predicates", "monogenic:3,2"): "9962f51ce9a2faa731fd3739a2ab992c1d6fa03162e6cc764ff242663c06500b",
     ("predicates", "groupunion:2,3"): "1a9ed9282eb31823604ef36d29570ab0056b4f5b403f5092483328a59f9d5ec9",
+    ("enumerate", "3"): "a8d50a857016f0bb3acd3912661a567cb82da94aac1e89658c2a6b69f3b7872d",
     ("enumerate", "3 --dedupe-iso"): "041371321aa6646d859170ddbf847e267255ff1b70f92f6bb5d00116837a274a",
+    ("enumerate", "4"): "7c4da0f935d19034f2d08ac3e0811a7bce6a136b55d0582be8f64ef8be7c4e85",
+    ("enumerate", "4 --dedupe-iso"): "17dc2d40b478078b2e953eddf0a4d9765f32c12f2913acb69ddc102ff7fcf830",
+    ("enumerate", "4 --commutative-only"): "0c80249e7ac51f4913ada2b14c3044fa643679a2a8516d771a61a55855386d5f",
+    ("enumerate", "4 --commutative-only --dedupe-iso"): "0e0d7f0418324adbe1744c4e591ca4c86785888cb137fd91e4af4305a907a7d6",
 }
 
 

@@ -147,11 +147,15 @@ def test_iso_class_counts_match_frozen_constants():
 
 
 def test_enumeration_outputs_are_associative_and_distinct():
-    seen = set()
-    for S in enumerate_finite(3):
-        assert ob.is_associative([list(r) for r in S.table])
-        seen.add(S.table)
-    assert len(seen) == LABELED_COUNTS[3]
+    # exactly the associative tables of the naive filter, each once
+    for n in (1, 2, 3):
+        for commutative_only in (False, True):
+            tables = [S.table for S in enumerate_finite(n, commutative_only)]
+            want = {tuple(map(tuple, t)) for t in ob.all_tables(n)
+                    if ob.is_associative(t)
+                    and (ob.is_commutative(t) or not commutative_only)}
+            assert len(tables) == len(set(tables))
+            assert set(tables) == want, (n, commutative_only)
 
 
 def test_enumeration_size_limits():
@@ -162,7 +166,7 @@ def test_enumeration_size_limits():
 
 
 def test_canonical_form_matches_oracle():
-    for S in itertools.islice(enumerate_finite(3), 40):
+    for S in itertools.chain(enumerate_finite(3), enumerate_finite(4)):
         t = [list(r) for r in S.table]
         assert canonical_table(S) == ob.canonical_form(t)
 
