@@ -31,6 +31,11 @@ class Budget:
     elements: int = 256
     steps: int = 4096
 
+    def __post_init__(self):
+        for name, value in self.as_dict().items():
+            if value < 1:
+                raise BadParameter(f"budget {name} must be at least 1, got {value}")
+
     def as_dict(self):
         return {"elements": self.elements, "steps": self.steps}
 
@@ -70,11 +75,18 @@ class CarrierSet:
 
     The enumerator may be infinite; ``exact`` promises that it ranges over
     precisely the members (so an exhausted enumerator certifies the set).
+    It is started once: the codes it has yielded are kept, and ``prefix``
+    and ``among_first`` advance it only past them.
     """
 
     member: Callable[[int], bool]
     enumerate_fn: Callable[[], Iterator[int]]
     exact: bool = True
+    _codes: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _live: Iterator[int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._live = self.enumerate_fn()
 
     @classmethod
     def of(cls, members):
@@ -82,13 +94,34 @@ class CarrierSet:
         members = tuple(members)
         return cls(frozenset(members).__contains__, lambda: iter(members))
 
+    def _fill(self, count):
+        """Keep the first ``count`` members, or all of them if there are
+        fewer; whether there are ``count``."""
+        codes = self._codes
+        if len(codes) < count:
+            try:
+                codes.extend(itertools.islice(self._live, count - len(codes)))
+            except BaseException:
+                # an enumerator that raised is finished but not exhausted:
+                # the next call starts afresh rather than read it as the end
+                self._codes, self._live = [], self.enumerate_fn()
+                raise
+        return len(codes) >= count
+
     def prefix(self, limit):
-        out = []
-        for x in self.enumerate_fn():
-            if len(out) >= limit:
-                return out, False
-            out.append(x)
-        return out, True  # enumerator exhausted: prefix is the whole set
+        """The first ``limit`` members, and whether they are all of them."""
+        exhausted = not self._fill(limit + 1)
+        return self._codes[:limit], exhausted
+
+    def among_first(self, y, limit):
+        """Whether y is one of the first ``limit`` members; the enumeration
+        advances only until y turns up."""
+        start = 0
+        while y not in itertools.islice(self._codes, start, limit):
+            start = len(self._codes)
+            if start >= limit or not self._fill(start + 1):
+                return False
+        return True
 
 
 @dataclass(frozen=True)
@@ -200,9 +233,11 @@ def build_finite(table, labels=None):
     Associativity is Light's test (Clifford & Preston, *The Algebraic
     Theory of Semigroups* I, section 1.2): the middles m with (x*m)*y ==
     x*(m*y) for all x, y are closed under the product, so checking the
-    middles of one generating set suffices.  That costs O(n^2 * |gens|);
-    only tables whose every element is a generator (a chain, the flat
-    semilattice) stay cubic.
+    middles of one generating set suffices.  A middle g costs
+    O(n * (|I_g| + distinct a*g)) lookups, I_g the image of row g (see
+    ``_first_failure``), so the check is O(n * sum over the generators of
+    (|I_g| + distinct a*g)): O(n^2) on the flat semilattice, whose every
+    element is a generator with |I_g| = 2.
     """
     rows = [tuple(row) for row in table]
     n = len(rows)
@@ -235,13 +270,30 @@ def build_finite(table, labels=None):
 
 def _first_failure(t, middles):
     """The first (a, b), a in code order and b in ``middles`` order, whose
-    row a*b differs from row a read through row b; None if there is none."""
-    checks = [(b, operator.itemgetter(*t[b])) for b in middles]
-    for a, ta in enumerate(t):
-        for b, compose in checks:
-            if t[ta[b]] != compose(ta):
-                return a, b
-    return None
+    row a*b differs from row a read through row b; None if there is none.
+
+    Row a read through row b depends only on row a at the image I_b of
+    row b.  So the first row a with a given z = a*b is read through row b
+    in full and compared with row z; a later row with the same z passes
+    exactly when its restriction to I_b equals that first row's.  One
+    middle is checked at a time, over the rows before the first failure
+    found so far, so only one middle's first rows are held."""
+    found = None
+    for b in middles:
+        restrict, compose = operator.itemgetter(*set(t[b])), operator.itemgetter(*t[b])
+        first = {}
+        for a, ta in enumerate(t if found is None else t[:found[0]]):
+            z = ta[b]
+            known = first.get(z)
+            if known is None:
+                if t[z] == compose(ta):
+                    first[z] = ta
+                    continue
+            elif restrict(known) == restrict(ta):
+                continue
+            found = a, b
+            break
+    return found
 
 
 @dataclass

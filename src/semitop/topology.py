@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import weakref
 from dataclasses import dataclass, field
 
 from .core import (
@@ -256,48 +257,53 @@ class EBase:
 
     # -- membership machinery
 
-    def _in_quotient(self, x):
-        return self.S.mul(x, self.e) == self.e
-
-    def _above_some(self, F, f):
-        return any(_leq(self.S, g, f) for g in F)
-
     def member(self, params):
-        """The instantiated basic set as a lazy CarrierSet."""
+        """The instantiated basic set as a lazy CarrierSet.  Its tests close
+        over the handle, anchor and view, not over the base, and kind Z's
+        test reaches its own set by a weak reference, so no member is in a
+        reference cycle: a dropped base frees its members, and the tables
+        they reach, at once."""
         params = self.normalize(params)
         if params in self._memo_members:
             return self._memo_members[params]
-        S = self.S
-        central = self.view.central
+        S, e, view, budget = self.S, self.e, self.view, self.budget
+        central = view.central
+
+        def in_quotient(x):
+            return S.mul(x, e) == e
+
+        def above_some(F, f):
+            return any(_leq(S, g, f) for g in F)
+
         if self.kind == "E":
             F = params
 
             def pred(x):
-                return (self._in_quotient(x) and S.mul(x, x) == x
-                        and central(x) and not self._above_some(F, x))
+                return (in_quotient(x) and S.mul(x, x) == x
+                        and central(x) and not above_some(F, x))
 
             out = CarrierSet(pred, lambda: filter(pred, carrier(S)),
-                             exact=self.view.central_exact)
+                             exact=view.central_exact)
         elif self.kind == "H":
             F = params
 
             def pred(x):
-                if not (self._in_quotient(x) and central(x)):
+                if not (in_quotient(x) and central(x)):
                     return False
-                f = self.view.subgroup_idempotent(x)
-                return f is not None and not self._above_some(F, f)
+                f = view.subgroup_idempotent(x)
+                return f is not None and not above_some(F, f)
 
             out = CarrierSet(pred, lambda: filter(pred, carrier(S)),
-                             exact=self.view.exact)
+                             exact=view.exact)
         else:
             n, F = params
 
             def qualifies(z):
-                if not (self._in_quotient(z) and central(z)):
+                if not (in_quotient(z) and central(z)):
                     return False
-                pp = power_projection(S, z, self.budget)
+                pp = power_projection(S, z, budget)
                 return (pp.status == "defined" and central(pp.idempotent)
-                        and not self._above_some(F, pp.idempotent))
+                        and not above_some(F, pp.idempotent))
 
             def gen():
                 seen = set()
@@ -307,21 +313,10 @@ class EBase:
                         seen.add(y)
                         yield y
 
-            # members are the first budget.elements values gen() yields;
-            # one scan serves every query, advanced only as far as needed
-            known = set()
-            scan = itertools.islice(gen(), self.budget.elements)
-
-            def pred(y):
-                if y in known:
-                    return True
-                for v in scan:
-                    known.add(v)
-                    if v == y:
-                        return True
-                return False
-
-            out = CarrierSet(pred, gen, exact=self.view.exact)
+            # members are the first budget.elements values gen() yields
+            out = CarrierSet(None, gen, exact=view.exact)
+            own = weakref.ref(out)
+            out.member = lambda y: own().among_first(y, budget.elements)
         self._memo_members[params] = out
         return out
 

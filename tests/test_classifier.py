@@ -3,6 +3,8 @@
 import itertools
 import random
 
+import pytest
+
 from metering import capped
 
 from semitop.builders import (
@@ -16,6 +18,7 @@ from semitop.builders import (
 from semitop.classify import center_necessary_conditions, classify, implication_violations
 from semitop.core import Budget, build_finite, direct_product
 from semitop.corpus import enumerate_finite, relabeled_table
+from semitop.errors import BadParameter
 from semitop.predicates import FAILS, HOLDS, UNKNOWN, Verdict
 
 BUDGET = Budget(64, 2048)
@@ -111,6 +114,13 @@ def test_empty_stream_center_is_unknown_not_a_hang():
     assert cfin.status == UNKNOWN and cfin.source == "search"
     assert cfin.witness == {"kind": "center_probe_empty", "scanned": 4096}
     assert report.theorems["absolute_T1S"].status == UNKNOWN
+
+
+@pytest.mark.parametrize("elements,steps", [(-3, 4096), (0, 4096), (256, 0)])
+def test_non_positive_budget_is_a_bad_parameter(elements, steps):
+    # (-3, 4096) once reached classify and raised a raw ValueError from islice
+    with pytest.raises(BadParameter):
+        classify(natmin(), Budget(elements, steps))
 
 
 def test_intadd_classification_stays_under_its_multiplication_ceiling():

@@ -175,6 +175,12 @@ TOPOLOGY_DIGESTS = {
                     "e195fd895da3ee55cd0c7fca7442bc74e37aab5baeced09d1e6bde4fbd76dae3"),
     ("flat", "Z"): ("8ed9031ff67ff3ac925da600b484db448a19a2b1e68481f4453e41dceafa0512",
                     "818b299cec93e8da94e361938c38c064061b5d250a0e45e23bab065210c3b32f"),
+    ("flat:255", "E"): ("3e50bb494d259874308356ba7a42d3e6306232e869499d4182ec84055b672d41",
+                        "3cd53517144aacc9ced6ed63bdb33ec3f4eac72496008f9fd609da6823e25568"),
+    ("flat:255", "H"): ("f4a59bb188ed303278d905eaa8f0038ed702c44e4924ec1aa84aacb3885cc774",
+                        "2c0e3ddee6eef577b463d1c37a93360dcc980047f72144d0283009634d3bf2b3"),
+    ("flat:255", "Z"): ("20aa3e1491d362f13dbc1b9a7b8b9e0cfcd7cfb268c33324cb8904dd9adf321d",
+                        "3564abaea353ba4d3840926518ca68f0a04775598046b33c0405b4adc03bdb86"),
 }
 
 

@@ -29,6 +29,7 @@ from semitop.builders import (
 from semitop.classify import classify
 from semitop.core import (
     Budget,
+    CarrierSet,
     adjoin_identity,
     adjoin_zero,
     bounded_view,
@@ -172,6 +173,8 @@ def _naive_first_triple(t):
     ("monogenic0", lambda: adjoin_zero(monogenic_builder(5, 12))),
     ("leftzero1xcyclic", lambda: direct_product(adjoin_identity(left_zero(4)),
                                                 cyclic_group(6))),
+    ("flat31", lambda: flat_finite(31)),
+    ("chain24", lambda: chain_semilattice(24)),
 ])
 def test_one_corrupted_cell_raises_the_naive_first_triple(name, make):
     table = make().table
@@ -183,6 +186,27 @@ def test_one_corrupted_cell_raises_the_naive_first_triple(name, make):
         rows[x][y] = (rows[x][y] + 1 + rng.randrange(n - 1)) % n
         first = _naive_first_triple(tuple(map(tuple, rows)))
         assert first is not None
+        with pytest.raises(NonAssociative) as err:
+            build_finite(rows)
+        assert err.value.triple == first
+
+
+@pytest.mark.parametrize("make", [lambda: flat_finite(4), lambda: chain_semilattice(5)],
+                         ids=["flat4", "chain5"])
+def test_every_corrupted_cell_of_a_small_table_raises_the_naive_first_triple(make):
+    # a row whose product a*b an earlier row shares is checked on the image
+    # of row b alone; these corruptions reach every image value
+    table = make().table
+    n = len(table)
+    for x, y, v in itertools.product(range(n), range(n), range(n)):
+        if v == table[x][y]:
+            continue
+        rows = [list(row) for row in table]
+        rows[x][y] = v
+        first = _naive_first_triple(tuple(map(tuple, rows)))
+        if first is None:  # the corruption is another semigroup
+            assert build_finite(rows).size == n
+            continue
         with pytest.raises(NonAssociative) as err:
             build_finite(rows)
         assert err.value.triple == first
@@ -200,6 +224,67 @@ def test_cyclic_group_of_order_256_checks_two_middles(monkeypatch):
     monkeypatch.setattr(core, "_first_failure", spy)
     cyclic_group(256)
     assert checked == [2]
+
+
+def _fresh_prefix(enumerate_fn, limit):
+    """The first ``limit`` codes of a new enumeration, and whether they
+    are all of them."""
+    codes = list(itertools.islice(enumerate_fn(), limit + 1))
+    return codes[:limit], len(codes) <= limit
+
+
+@pytest.mark.parametrize("enumerate_fn", [
+    lambda: iter((5, 3, 8, 1, 9)),
+    lambda: iter(()),
+    lambda: itertools.count(7, 3),
+], ids=["finite", "empty", "counter"])
+def test_carrier_set_enumerates_once_and_answers_as_a_fresh_scan(enumerate_fn):
+    starts = []
+
+    def spy():
+        starts.append(1)
+        return enumerate_fn()
+
+    s = CarrierSet(lambda x: True, spy)
+    limits = list(range(13))
+    random.Random(0).shuffle(limits)
+    for k in limits:
+        assert s.prefix(k) == _fresh_prefix(enumerate_fn, k), k
+        members = [y for y in range(-1, 45) if s.among_first(y, k)]
+        assert members == sorted(_fresh_prefix(enumerate_fn, k)[0]), k
+    assert starts == [1]
+
+
+def test_among_first_enumerates_only_as_far_as_its_answer():
+    pulled = []
+
+    def counter():
+        for x in itertools.count():
+            pulled.append(x)
+            yield x
+
+    s = CarrierSet(lambda x: True, counter)
+    assert s.among_first(3, 10) and len(pulled) == 4
+    assert not s.among_first(50, 10) and len(pulled) == 10
+    assert s.among_first(9, 10) and not s.among_first(10, 10) and len(pulled) == 10
+
+
+def test_carrier_set_restarts_an_enumerator_that_raised():
+    # a raise must not read as the end of the set
+    raised = []
+
+    def flaky():
+        for x in range(6):
+            if x == 3 and not raised:
+                raised.append(x)
+                raise RuntimeError("enumerator failed")
+            yield x
+
+    s = CarrierSet(lambda x: True, flaky)
+    with pytest.raises(RuntimeError):
+        s.prefix(5)
+    assert s.prefix(5) == ([0, 1, 2, 3, 4], False)
+    assert s.prefix(6) == ([0, 1, 2, 3, 4, 5], True)
 
 
 def test_one_element_table_is_the_trivial_semigroup():
