@@ -47,6 +47,7 @@ from .topology import (
 from .corpus import (
     ReportDocument,
     dedupe_iso,
+    enumerate_classes,
     enumerate_finite,
     parse_cayley,
     read_report,

@@ -10,12 +10,12 @@ corpus-integrity failure, 3 witness not found, 4 size cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from collections import Counter
 
 from .builders import BUILDER_NAMES, build
-from .core import Budget, build_finite, is_finite, label_of
+from .core import Budget, is_finite, label_of
 from .classify import classify
 from .corpus import (
     COMMUTATIVE_ISO_CLASS_COUNTS,
@@ -23,10 +23,9 @@ from .corpus import (
     ISO_CLASS_COUNTS,
     LABELED_COUNTS,
     ReportDocument,
-    canonical_table,
     entry_from_builder,
     entry_from_file,
-    enumerate_finite,
+    enumerate_classes,
     render_report,
     scan_corpus,
     suite_record,
@@ -57,6 +56,9 @@ def _common_flags(sub):
                      "instead of standard output")
 
 
+# built once: a parser is a nest of reference cycles that only the cyclic
+# collector frees, and in-process callers of main would leave one per call
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="semitop",
@@ -88,7 +90,7 @@ def build_parser():
     p.set_defaults(func=cmd_topology)
 
     p = sub.add_parser("enumerate", help="exhaust an order and tally")
-    p.add_argument("n", type=int, help="order to enumerate (at most 4)")
+    p.add_argument("n", type=int, help="order to enumerate (at most 5)")
     p.add_argument("--commutative-only", action="store_true")
     p.add_argument("--dedupe-iso", action="store_true",
                    help="collapse isomorphism classes before tallying")
@@ -248,16 +250,12 @@ def cmd_enumerate(args):
     # isomorphism class is classified once, in canonical form, and counts
     # with weight equal to its class size (1 when classes are the unit).
     budget = _budget(args)
-    classes = Counter(canonical_table(S) for S in
-                      enumerate_finite(args.n, commutative_only=args.commutative_only))
-
     count = 0
     commutative = 0
     theorem_tally = {}
     predicate_tally = {}
-    for canon, size in classes.items():
+    for S, size in enumerate_classes(args.n, commutative_only=args.commutative_only):
         weight = 1 if args.dedupe_iso else size
-        S = build_finite(canon)
         count += weight
         if S.commutative:
             commutative += weight

@@ -243,9 +243,15 @@ def build_finite(table, labels=None):
     n = len(rows)
     if n == 0:
         raise MalformedTable("empty table")
+    codes = frozenset(range(n))
     for row in rows:
         if len(row) != n:
             raise MalformedTable(f"row of length {len(row)} in a table of size {n}")
+        # a row of plain ints in range passes in C, in about half the time of
+        # the loop; any other row takes the loop, which names the first bad
+        # entry and accepts ints' subclasses
+        if list(map(type, row)).count(int) == n and codes.issuperset(row):
+            continue
         for v in row:
             if not isinstance(v, int) or not 0 <= v < n:
                 raise MalformedTable(f"entry {v!r} out of range 0..{n - 1}")
@@ -614,6 +620,9 @@ class IdempotentPoset:
             c = climb(e)
             if len(c) > len(out):
                 out = c
+        # climb's closure holds climb: without this the poset is freed only
+        # by a cyclic collection
+        del climb
         return tuple(out)
 
 

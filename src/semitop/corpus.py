@@ -3,13 +3,16 @@
 The text format is deliberately dull: a size line, a label line, then the
 table rows as 0-based indices (row = left factor), with ``#`` comments.
 Enumeration backtracks over table cells and prunes on the first associativity
-violation among fully determined triples; the resulting counts are frozen
-below as regression constants.  Reports are canonical JSON so that two runs
-with the same configuration produce byte-identical files.
+violation among fully determined triples; with a lex-leader cut the same walk
+yields one canonical table per isomorphism class, weighted by n!/|Aut|.  The
+resulting counts are frozen below as regression constants.  Reports are
+canonical JSON so that two runs with the same configuration produce
+byte-identical files.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import re
@@ -25,19 +28,17 @@ TOOL = "semitop 0.1.0"
 
 # Largest order the exhaustive enumerator (and the relabeling canonicalizer)
 # will accept.
-ENUMERATION_CAP = 4
-# each relabeling of each order up to the cap, as a permutation and its inverse
-_RELABELINGS = {n: [(p, sorted(range(n), key=p.__getitem__))
-                    for p in itertools.permutations(range(n))]
-                for n in range(1, ENUMERATION_CAP + 1)}
+ENUMERATION_CAP = 5
 
 # Counts produced by the backtracking enumerator, cross-checked against the
 # naive filter over all n^(n^2) tables for n <= 3.  These are regression
 # constants: a change here means the enumerator broke, not the mathematics.
-LABELED_COUNTS = {1: 1, 2: 8, 3: 113, 4: 3492}
-COMMUTATIVE_LABELED_COUNTS = {1: 1, 2: 6, 3: 63, 4: 1140}
-ISO_CLASS_COUNTS = {1: 1, 2: 5, 3: 24, 4: 188}
-COMMUTATIVE_ISO_CLASS_COUNTS = {1: 1, 2: 3, 3: 12, 4: 58}
+# Order 5 agrees with OEIS A023814, A027851 and A001426; the commutative
+# labeled count was taken from the labeled walk folded through canonical forms.
+LABELED_COUNTS = {1: 1, 2: 8, 3: 113, 4: 3492, 5: 183732}
+COMMUTATIVE_LABELED_COUNTS = {1: 1, 2: 6, 3: 63, 4: 1140, 5: 30730}
+ISO_CLASS_COUNTS = {1: 1, 2: 5, 3: 24, 4: 188, 5: 1915}
+COMMUTATIVE_ISO_CLASS_COUNTS = {1: 1, 2: 3, 3: 12, 4: 58, 5: 325}
 
 _TOKEN = re.compile(r"\S+")
 
@@ -141,28 +142,65 @@ def parse_cayley(text):
 # ---------------------------------------------------------------------------
 # enumeration
 
-def enumerate_finite(n, commutative_only=False):
-    """All associative tables on n labeled elements, n <= 4.
+@functools.cache
+def _relabelings(n):
+    """Each relabeling of order n, as a permutation and its inverse; the
+    identity comes first."""
+    return [(p, sorted(range(n), key=p.__getitem__))
+            for p in itertools.permutations(range(n))]
 
-    Backtracks cell by cell; a partial table is abandoned as soon as some
-    fully determined triple breaks associativity.  Every triple of a yielded
-    table was checked on the way down, so the handles skip build_finite's
-    associativity test.
+
+def enumerate_finite(n, commutative_only=False):
+    """All associative tables on n labeled elements, n <= 5.
+
+    Backtracks cell by cell in row-major order; a partial table is abandoned
+    as soon as some fully determined triple breaks associativity.  Every
+    triple of a yielded table was checked on the way down, so the handles
+    skip build_finite's associativity test.  ``enumerate_classes`` is the
+    same walk with a lex-leader cut.
     """
-    if not isinstance(n, int) or n < 1:
-        raise BadParameter(f"order must be a positive integer, got {n!r}")
-    if n > ENUMERATION_CAP:
-        raise SizeCapExceeded(
-            f"exhaustive enumeration is capped at order {ENUMERATION_CAP}, got {n}")
+    _check_order(n)
     labels = tuple(str(i) for i in range(n))
     return (FiniteSemigroup(table, labels)
             for table in _associative_tables(n, commutative_only))
 
 
-def _associative_tables(n, commutative_only):
+def enumerate_classes(n, commutative_only=False):
+    """One (semigroup, class size) pair per isomorphism class of order
+    n <= 5: the semigroup's table is its ``canonical_table``, and the class
+    holds n!/|Aut| labeled tables.
+
+    This is the walk of ``enumerate_finite`` with a lex-leader cut
+    (Distler, *Classification and enumeration of finite semigroups*, PhD
+    thesis, St Andrews, 2010): after each cell is set, a partial table t is
+    dropped when some relabeling p makes it smaller in row-major order,
+    comparing p(t) with t over their common defined cells up to the first
+    undefined one.  Such a p makes every completion of t smaller too, so
+    the least table of each class is never cut, and at a leaf the
+    comparison is total: the walk yields exactly the canonical tables, each
+    once, and the relabelings that tie at the leaf are the automorphisms.
+    """
+    _check_order(n)
+    labels = tuple(str(i) for i in range(n))
+    return ((FiniteSemigroup(table, labels), size)
+            for table, size in _associative_tables(n, commutative_only, classes=True))
+
+
+def _check_order(n):
+    if not isinstance(n, int) or n < 1:
+        raise BadParameter(f"order must be a positive integer, got {n!r}")
+    if n > ENUMERATION_CAP:
+        raise SizeCapExceeded(
+            f"exhaustive enumeration is capped at order {ENUMERATION_CAP}, got {n}")
+
+
+def _associative_tables(n, commutative_only, classes=False):
+    """Labeled tables, or with ``classes`` (canonical table, n!/|Aut|)
+    pairs; both in the order of the walk."""
     cells = [(i, j) for i in range(n) for j in range(n)
              if not (commutative_only and j < i)]
     t = [[None] * n for _ in range(n)]
+    factorial = len(_relabelings(n))
 
     def settled(i, j):
         # The parent partial table associated, so only the triples that read
@@ -192,9 +230,34 @@ def _associative_tables(n, commutative_only):
                         return False
         return True
 
-    def fill(k):
+    def lex_cut(ties):
+        # ``ties`` holds (perm, order, q): p(t) and t agree on the first q
+        # cells of ``order``.  Returns the relabelings still tied, or None
+        # when one makes t smaller.  One that makes t larger stays larger
+        # below, and is dropped.
+        still = []
+        for perm, order, q in ties:
+            for q in range(q, len(order)):
+                a, b, ia, ib = order[q]
+                mine, theirs = t[a][b], t[ia][ib]
+                if mine is None or theirs is None:
+                    still.append((perm, order, q))
+                    break
+                theirs = perm[theirs]
+                if theirs != mine:
+                    if theirs < mine:
+                        return None
+                    break
+            else:
+                still.append((perm, order, len(order)))
+        return still
+
+    def fill(k, ties):
         if k == len(cells):
-            yield tuple(tuple(row) for row in t)
+            # the relabelings tied with a whole table, and the identity, are
+            # its automorphisms
+            table = tuple(tuple(row) for row in t)
+            yield table if ties is None else (table, factorial // (1 + len(ties)))
             return
         i, j = cells[k]
         for v in range(n):
@@ -202,12 +265,23 @@ def _associative_tables(n, commutative_only):
             if commutative_only:
                 t[j][i] = v
             if settled(i, j) and (i == j or not commutative_only or settled(j, i)):
-                yield from fill(k + 1)
+                if ties is None:
+                    yield from fill(k + 1, None)
+                else:
+                    below = lex_cut(ties)
+                    if below is not None:
+                        yield from fill(k + 1, below)
         t[i][j] = None
         if commutative_only and i != j:
             t[j][i] = None
 
-    return fill(0)
+    ties = None
+    if classes:
+        # each relabeling but the identity, tied with the empty table: its
+        # map and, cell by cell in row-major order, the cell of t it moves there
+        ties = [(perm, [(a, b, inv[a], inv[b]) for a in range(n) for b in range(n)], 0)
+                for perm, inv in _relabelings(n)[1:]]
+    return fill(0, ties)
 
 
 def relabeled_table(table, perm):
@@ -233,7 +307,7 @@ def canonical_table(S):
             f"canonical form is capped at order {ENUMERATION_CAP}, got {n}")
     t = S.table
     least = min(tuple([perm[t[r][c]] for r in inv for c in inv])
-                for perm, inv in _RELABELINGS[n])
+                for perm, inv in _relabelings(n))
     return tuple(least[a:a + n] for a in range(0, n * n, n))
 
 

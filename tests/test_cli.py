@@ -1,5 +1,7 @@
 """Command-line behavior: exit codes, determinism, report files."""
 
+import argparse
+import gc
 import hashlib
 import json
 import runpy
@@ -132,6 +134,22 @@ def test_non_positive_budgets_are_exit_1(capsys, command, flag, value):
     assert err.splitlines() == [f"error: {flag} must be at least 1, got {value}"]
 
 
+def test_a_call_leaves_no_parser_for_the_cyclic_collector(capsys):
+    # in-process callers run main many times; a parser per call would pile
+    # up as cyclic garbage until a full collection
+    run(capsys, "enumerate", "1")
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run(capsys, "enumerate", "1")
+        gc.collect()
+        parsers = [o for o in gc.garbage if isinstance(o, argparse.ArgumentParser)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert parsers == []
+
+
 def test_enumerate_above_cap_is_exit_4(capsys):
     code, _, err = run(capsys, "enumerate", "7")
     assert code == 4 and "size cap" in err
@@ -226,6 +244,8 @@ FINITE_DIGESTS = {
     ("enumerate", "4 --dedupe-iso"): "17dc2d40b478078b2e953eddf0a4d9765f32c12f2913acb69ddc102ff7fcf830",
     ("enumerate", "4 --commutative-only"): "0c80249e7ac51f4913ada2b14c3044fa643679a2a8516d771a61a55855386d5f",
     ("enumerate", "4 --commutative-only --dedupe-iso"): "0e0d7f0418324adbe1744c4e591ca4c86785888cb137fd91e4af4305a907a7d6",
+    ("enumerate", "5 --commutative-only"): "bfff1e602d624360c5d44901cd27b52b6a46812aebc23913bb35bbb65ee5212a",
+    ("enumerate", "5 --commutative-only --dedupe-iso"): "c55d1850bd668371e496da24388c6f531ce680ff94f01ed985248e60796e67fb",
 }
 
 

@@ -1,10 +1,12 @@
 """Core structure: tables, orders, H-classes, powers, constructions."""
 
 import dataclasses
+import gc
 import importlib.util
 import itertools
 import operator
 import random
+import weakref
 from pathlib import Path
 
 import pytest
@@ -76,6 +78,10 @@ def test_build_finite_rejects_bad_shapes():
     ([[0, 0, 0], [0, "x", 9], [0, 0, 0]], "entry 'x' out of range 0..2"),
     ([[0, 0, 0], [0, 9, "x"], [0, 0, 0]], "entry 9 out of range 0..2"),
     ([[0, 0], [0, None]], "entry None out of range 0..1"),
+    # rows of plain ints in range pass in bulk; the row after them does not
+    ([[0, 0, 0], [0, 1, 2], [0, 1.0, 0]], "entry 1.0 out of range 0..2"),
+    ([[0, 0, 0], [0, 1, 2], [0, 0, -1]], "entry -1 out of range 0..2"),
+    ([[0, 0, 0], [0, 1, 2], [3, 0, 0]], "entry 3 out of range 0..2"),
 ])
 def test_build_finite_words_the_first_bad_entry(table, message):
     with pytest.raises(MalformedTable) as err:
@@ -86,6 +92,9 @@ def test_build_finite_words_the_first_bad_entry(table, message):
 def test_build_finite_accepts_int_subclasses():
     S = build_finite([[False, True], [True, False]])
     assert S.mul(1, 1) == 0
+    # a group of order 2 with a zero adjoined, True beside ints in one row
+    S = build_finite([[0, 0, 0], [0, 1, 2], [0, 2, True]])
+    assert S.mul(2, 2) == 1
 
 
 def test_build_finite_reports_nonassociative_triple():
@@ -300,6 +309,20 @@ def test_natural_order_on_chain_is_linear():
     for x, y in itertools.combinations(range(4), 2):
         assert poset.leq(x, y)
         assert not poset.leq(y, x)
+
+
+def test_a_poset_is_freed_after_longest_chain_without_a_collection():
+    # the recursive search must not leave the poset in a reference cycle,
+    # which keeps it alive until the cyclic collector runs
+    poset = natural_order(chain_semilattice(4))
+    assert poset.longest_chain() == (0, 1, 2, 3)
+    gone = weakref.ref(poset)
+    gc.disable()
+    try:
+        del poset
+        assert gone() is None
+    finally:
+        gc.enable()
 
 
 def test_natural_order_on_flat_has_incomparable_atoms():

@@ -1,7 +1,9 @@
 """Parsing, enumeration, canonical forms, and report documents."""
 
+import hashlib
 import itertools
 import re
+from collections import Counter
 
 import pytest
 
@@ -22,6 +24,7 @@ from semitop.corpus import (
     dedupe_iso,
     entry_from_builder,
     entry_from_file,
+    enumerate_classes,
     enumerate_finite,
     parse_cayley,
     read_report,
@@ -162,7 +165,49 @@ def test_enumeration_size_limits():
     with pytest.raises(BadParameter):
         enumerate_finite(0)
     with pytest.raises(SizeCapExceeded):
-        enumerate_finite(5)
+        enumerate_finite(6)
+    with pytest.raises(SizeCapExceeded):
+        enumerate_classes(6)
+
+
+# sha256 over repr(table) + "\n" for each labeled table of order 4, in the
+# walk's order: sampling by position (test_acceptance) relies on that order
+LABELED_ORDER_4_DIGESTS = {
+    False: "14e37d17e67f57699476f542385c01bbe287c575114dbbe1b464414dcb42f997",
+    True: "801de47f1280443a3398bbc210075b616fa54224c08f80ea8a8445787c4abd60",
+}
+
+
+@pytest.mark.parametrize("commutative_only", [False, True])
+def test_labeled_walk_order_is_pinned(commutative_only):
+    digest = hashlib.sha256()
+    for S in enumerate_finite(4, commutative_only):
+        digest.update(repr(S.table).encode() + b"\n")
+    assert digest.hexdigest() == LABELED_ORDER_4_DIGESTS[commutative_only]
+
+
+@pytest.mark.parametrize("commutative_only", [False, True])
+def test_class_walk_folds_the_labeled_walk(commutative_only):
+    # one canonical table per class, weighted by the number of labeled
+    # tables that fold onto it
+    for n in (1, 2, 3, 4):
+        pairs = list(enumerate_classes(n, commutative_only))
+        sizes = {S.table: size for S, size in pairs}
+        assert len(sizes) == len(pairs)
+        assert sizes == Counter(canonical_table(S)
+                                for S in enumerate_finite(n, commutative_only))
+        assert all(canonical_table(S) == S.table for S, _ in pairs)
+
+
+@pytest.mark.parametrize("commutative_only", [False, True])
+def test_class_walk_reaches_the_order_5_counts(commutative_only):
+    labeled = COMMUTATIVE_LABELED_COUNTS if commutative_only else LABELED_COUNTS
+    classes = COMMUTATIVE_ISO_CLASS_COUNTS if commutative_only else ISO_CLASS_COUNTS
+    pairs = list(enumerate_classes(5, commutative_only))
+    assert len(pairs) == classes[5] == (325 if commutative_only else 1915)
+    assert sum(size for _, size in pairs) == labeled[5] == (
+        30730 if commutative_only else 183732)
+    assert all(canonical_table(S) == S.table for S, _ in pairs)
 
 
 def test_canonical_form_matches_oracle():
