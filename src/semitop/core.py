@@ -402,21 +402,26 @@ class Prefix:
     ``codes`` is the carrier prefix of ``budget.elements`` codes; the rest
     derives from it on first use, so predicates, classifier and topology
     share one enumeration, one center scan and one subgroup certificate.
-    Stream answers hold at the bound only (``exact`` is False)."""
+    Stream answers hold at the bound only (``exact`` is False).
+
+    A stream keeps its views, so a view keeps only what it uses of the
+    stream, never the handle: a dropped handle frees its views at once,
+    without waiting for the cyclic collector."""
 
     exact = False
 
     def __init__(self, S, budget=DEFAULT_BUDGET):
-        self.S, self.budget = S, budget
+        self.mul, self.budget = S.mul, budget
+        self._enumerate, self._declared = S.enumerate_carrier, S.declared_facts
         self._central, self._subgroup = {}, {}
 
     @cached_property
     def codes(self):
-        return tuple(carrier_prefix(self.S, self.budget.elements))
+        return tuple(itertools.islice(self._enumerate(), self.budget.elements))
 
     @cached_property
     def idempotents(self):
-        return tuple(x for x in self.codes if self.S.mul(x, x) == x)
+        return tuple(x for x in self.codes if self.mul(x, x) == x)
 
     @cached_property
     def _idempotent_set(self):
@@ -433,7 +438,7 @@ class Prefix:
         commutative is its own center."""
         if self.central_exact:
             return self.codes
-        mul, pre = self.S.mul, self.codes
+        mul, pre = self.mul, self.codes
         return tuple(z for z in pre if all(mul(z, x) == mul(x, z) for x in pre))
 
     @cached_property
@@ -445,21 +450,21 @@ class Prefix:
     def central_order(self):
         """The natural order on ``central_idempotents`` as down-lists: each
         f maps to the other g with g*f == f*g == g, in pool order."""
-        mul, pool = self.S.mul, self.central_idempotents
+        mul, pool = self.mul, self.central_idempotents
         return {f: [g for g in pool if g != f and mul(g, f) == g and mul(f, g) == g]
                 for f in pool}
 
     @cached_property
     def central_exact(self):
         """``central`` is exact only on streams declared commutative."""
-        return bool((self.S.declared_facts or {}).get("commutative"))
+        return bool((self._declared or {}).get("commutative"))
 
     def central(self, x):
         """Does x commute with the first 64 codes?  Can only over-accept."""
         if self.central_exact:
             return True
         if x not in self._central:
-            mul = self.S.mul
+            mul = self.mul
             self._central[x] = all(mul(x, w) == mul(w, x) for w in self.codes[:64])
         return self._central[x]
 
@@ -470,7 +475,7 @@ class Prefix:
         within the per-code step cap."""
         sample = self.codes[:64]
         cap = max(8, self.budget.steps // max(1, len(sample)))
-        mul = self.S.mul
+        mul = self.mul
         exponents, divergent = {}, []
         for x in sample:
             p = x
@@ -499,7 +504,7 @@ class Prefix:
         if x in self._idempotent_set:
             self._subgroup[x] = x
             return x
-        mul, pre = self.S.mul, self.codes
+        mul, pre = self.mul, self.codes
         for f in self.idempotents:
             if mul(f, x) == x and mul(x, f) == x:
                 for v in pre:
@@ -527,6 +532,10 @@ class _FinitePrefix(Prefix):
     ``central`` and the subgroup maps read off the table's structure."""
 
     exact = central_exact = True
+
+    def __init__(self, S, budget=DEFAULT_BUDGET):
+        self.S, self.mul, self.budget = S, S.mul, budget
+
     codes = property(lambda self: self.S.elements())
     idempotents = property(lambda self: self.S.idempotent_codes)
     center = property(lambda self: self.S.center_codes)

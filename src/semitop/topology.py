@@ -19,6 +19,7 @@ import itertools
 import random
 import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .core import (
     DEFAULT_BUDGET,
@@ -78,14 +79,51 @@ def left_quotient(S, b, e, budget=DEFAULT_BUDGET, require_exact=False):
     return CarrierSet(lambda x: S.mul(x, e) == b, gen, exact=False)
 
 
+class _ProductScan:
+    """The products q*u of two factor prefixes in row-major order, walked
+    only as far as a query needs.  ``first`` maps each distinct product to
+    the first pair giving it, in order of discovery; ``complete`` says
+    whether the products are the whole shift."""
+
+    def __init__(self, mul, qpre, upre, complete):
+        self.mul, self.qpre, self.upre = mul, qpre, upre
+        self.complete = complete
+        self.first = {}
+        self._at = (0, 0)
+
+    def advance(self, stop):
+        """Walk on until ``stop(p)`` holds for a new product p; False when
+        the grid ends first.  The position moves only after a product is
+        recorded, so a multiplication that raises loses nothing."""
+        mul, qpre, upre, first = self.mul, self.qpre, self.upre, self.first
+        i, j = self._at
+        for i in range(i, len(qpre)):
+            q = qpre[i]
+            for j in range(j, len(upre)):
+                u = upre[j]
+                p = mul(q, u)
+                if p not in first:
+                    first[p] = (q, u)
+                    if stop(p):
+                        self._at = (i, j + 1)
+                        return True
+            j = 0
+        self._at = (len(qpre), 0)
+        return False
+
+
 @dataclass
 class ShiftNeighborhood:
     """The shifted set {b} | (b/e)*U, the basic neighborhood of b.
 
-    ``membership`` answers in three tiers: the base point; an O(1)
-    witness (y, y) for idempotent members of both the quotient and U; and
-    a bounded product scan.  A "no" is definite only when both factor
-    enumerations were exhausted inside the scan."""
+    ``membership`` answers from the base point; then from an O(1) witness
+    (y, y) for idempotent members of both the quotient and U; then from
+    the bounded product scan of quotient prefix times U prefix, about
+    sqrt(pair_scan) codes each.  The scan is one per width, kept with the
+    neighborhood and shared by ``membership`` and ``prefix``: each product
+    is computed once, with its first pair (q, u) in row-major order, and
+    the scan goes on only as far as an answer needs.  A "no" is definite
+    only when both factor enumerations were exhausted inside the scan."""
 
     S: object
     e: int
@@ -93,19 +131,24 @@ class ShiftNeighborhood:
     U: CarrierSet
     quotient: CarrierSet
     budget: object = DEFAULT_BUDGET
+    _scans: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
-    def _factors(self, pair_scan):
-        """Prefixes of the quotient and of U, about sqrt(pair_scan) each,
-        and whether their products are the whole shift: both factors
-        exhausted, or one exhausted and empty (which empties the products
-        by itself)."""
+    def _scan(self, pair_scan):
+        """The product scan at the width of ``pair_scan``.  Its products
+        are the whole shift when both factors were exhausted, or one was
+        exhausted and empty (which empties the products by itself)."""
         scan = pair_scan if pair_scan is not None else self.budget.steps
         side = max(2, int(scan ** 0.5) + 1)
-        qpre, qdone = self.quotient.prefix(side)
-        upre, udone = self.U.prefix(side)
-        complete = ((qdone and udone) or (qdone and not qpre)
-                    or (udone and not upre))
-        return qpre, upre, complete
+        grid = self._scans.get(side)
+        if grid is None:
+            qpre, qdone = self.quotient.prefix(side)
+            upre, udone = self.U.prefix(side)
+            complete = ((qdone and udone) or (qdone and not qpre)
+                        or (udone and not upre))
+            grid = self._scans[side] = _ProductScan(self.S.mul, qpre, upre,
+                                                    complete)
+        return grid
 
     def membership(self, y, pair_scan=None):
         if y == self.b:
@@ -113,12 +156,10 @@ class ShiftNeighborhood:
         S = self.S
         if S.mul(y, y) == y and self.quotient.member(y) and self.U.member(y):
             return "yes", (y, y)
-        qpre, upre, complete = self._factors(pair_scan)
-        for q in qpre:
-            for u in upre:
-                if S.mul(q, u) == y:
-                    return "yes", (q, u)
-        return ("no", None) if complete else ("unknown", None)
+        grid = self._scan(pair_scan)
+        if y in grid.first or grid.advance(lambda p: p == y):
+            return "yes", grid.first[y]
+        return ("no", None) if grid.complete else ("unknown", None)
 
     def contains(self, y, pair_scan=None):
         return self.membership(y, pair_scan)[0] == "yes"
@@ -131,19 +172,18 @@ class ShiftNeighborhood:
                 and self.S.mul(q, u) == y)
 
     def prefix(self, limit, pair_scan=None):
-        """Members discovered by a bounded diagonal product scan."""
-        qpre, upre, complete = self._factors(pair_scan)
-        out = [self.b]
-        seen = {self.b}
-        for q in qpre:
-            for u in upre:
-                p = self.S.mul(q, u)
-                if p not in seen:
-                    seen.add(p)
-                    out.append(p)
-                    if len(out) >= limit:
-                        return out, False
-        return out, complete
+        """b, then the members the product scan discovers, until ``limit``
+        points (at least one besides b); whether they are all of them."""
+        grid = self._scan(pair_scan)
+        b, first = self.b, grid.first
+        want = max(limit - 1, 1)
+
+        def enough(_=None):
+            return len(first) - (b in first) >= want
+
+        found = enough() or grid.advance(enough)
+        out = [b, *itertools.islice((p for p in first if p != b), want)]
+        return out, (False if found else grid.complete)
 
 
 def shift(S, e, b, U, budget=DEFAULT_BUDGET):
@@ -175,7 +215,14 @@ class EBase:
     ``sufficient_regularity`` read them from it.  Centrality, subgroup
     membership and the central idempotents come from the handle's bounded
     view at the base's budget (``view``), so every base and certificate on
-    one handle scans the center once."""
+    one handle scans the center once.
+
+    A base computes each product of a certificate at most once: it keeps
+    one member per parameter set, one left quotient and one
+    ``ShiftNeighborhood`` per point and parameter set, the regularity
+    columns, the parameter pool and the parameter sets already checked.
+    These memos hold the handle and the members but never the base, so a
+    dropped base still frees everything at once."""
 
     def __init__(self, S, e, kind="E", budget=DEFAULT_BUDGET):
         if kind not in ("E", "H", "Z"):
@@ -190,10 +237,16 @@ class EBase:
         if not self.view.central(e):
             raise BadParameter(f"{e} is not central (at bound)")
         self._memo_members = {}
+        self._quotients = {}
+        self._neighborhoods = {}
+        self._columns = {}
+        self._checked = set()
 
     # -- parameter handling
 
     def _check_f(self, F):
+        if F in self._checked:
+            return
         S = self.S
         for f in F:
             if S.mul(f, f) != f:
@@ -202,6 +255,7 @@ class EBase:
                 raise BadParameter(f"parameter {f} lies below the anchor {self.e}")
             if self.kind in ("E", "H") and not self.view.central(f):
                 raise BadParameter(f"parameter {f} is not central (at bound)")
+        self._checked.add(F)
 
     def normalize(self, params):
         if self.kind == "Z":
@@ -228,6 +282,10 @@ class EBase:
 
     def parameter_pool(self):
         """Idempotents usable inside F, from the enumeration prefix."""
+        return self._pool
+
+    @cached_property
+    def _pool(self):
         view = self.view
         pool = view.idempotents if self.kind == "Z" else view.central_idempotents
         return tuple(f for f in pool if not _leq(self.S, f, self.e))
@@ -320,8 +378,22 @@ class EBase:
         self._memo_members[params] = out
         return out
 
+    def _quotient(self, b):
+        """The left quotient b/e at the base's budget, built once per b."""
+        if b not in self._quotients:
+            self._quotients[b] = left_quotient(self.S, b, self.e, self.budget)
+        return self._quotients[b]
+
     def neighborhood(self, b, params):
-        return shift(self.S, self.e, b, self.member(params), self.budget)
+        """The shift {b} | (b/e)*V of the member V at ``params``, one per
+        point and parameter set, so its product scans are shared."""
+        params = self.normalize(params)
+        key = (b, params)
+        if key not in self._neighborhoods:
+            self._neighborhoods[key] = ShiftNeighborhood(
+                self.S, self.e, b, self.member(params), self._quotient(b),
+                self.budget)
+        return self._neighborhoods[key]
 
 
 # ---------------------------------------------------------------------------
@@ -448,15 +520,23 @@ def _regularity_scan(base, b, be):
 
     Returns a test of member parameters V: None when some product q*v hits
     b, for q in the prefix of (be)/e and v in the prefix of V, else the
-    pairs checked and whether both prefixes were exhausted.  The quotient
-    prefix is read once, for every V tested."""
-    S = base.S
+    pairs checked and whether both prefixes were exhausted.  It asks
+    whether b lies in the column {q*v : q} of each v; the columns are kept
+    on the base by (be, v), so every moved point with the same be shares
+    them, in ``is_regular`` and ``replay_certificate`` alike."""
+    mul = base.S.mul
     side = max(2, int(base.budget.steps ** 0.5) + 1)
-    qpre, qdone = left_quotient(S, be, base.e, base.budget).prefix(side)
+    qpre, qdone = base._quotient(be).prefix(side)
+    columns = base._columns
+
+    def column(v):
+        if (be, v) not in columns:
+            columns[be, v] = frozenset(mul(q, v) for q in qpre)
+        return columns[be, v]
 
     def avoids(params):
         vpre, vdone = base.member(params).prefix(side)
-        if any(S.mul(q, v) == b for q in qpre for v in vpre):
+        if any(b in column(v) for v in vpre):
             return None
         return len(qpre) * len(vpre), qdone and vdone
 

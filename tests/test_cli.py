@@ -202,16 +202,45 @@ TOPOLOGY_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("builder,kind", sorted(TOPOLOGY_DIGESTS))
-def test_topology_matches_the_golden_digests(capsys, tmp_path, builder, kind):
+# the same at 256/4096 and seed 0, the budget of the benchmark's topology
+# runs, where the certificate reads the shared product scans and regularity
+# columns hardest and kind H certifies on the flat stream too
+TOPOLOGY_DIGESTS_256 = {
+    ("flat", "E"): ("79cd419fa5bdc3ef833f84bfe71ff28298e300a47e39c269a633d9eb4567816d",
+                    "2144749892f726563311ea6dd44f0a56c8762afdd7b2c89acce5d0ae685e5dbd"),
+    ("flat", "H"): ("78e6cd7597de12e1a591a6fb5b7f0777db60b2acc7ec601a9bde5c2710f99392",
+                    "6e6adec4d903a131e878f2267c20097c1f8ab342c46ddc845c2e6a1f95a07c05"),
+    ("flat", "Z"): ("3ed0dd9ae027b82780d3d158a1b0c3dd2907515050430e2de8870c34b7c2efe0",
+                    "e423e652dc56f6288aaf9daf9b20b7f8c4bed9c24f4359368462378b3f4b3dd1"),
+    ("flat:255", "E"): ("397a1e14df64909b8bfbfd2d6261c174466c470bda30aad7c47f9884ca133950",
+                        "3cd53517144aacc9ced6ed63bdb33ec3f4eac72496008f9fd609da6823e25568"),
+    ("flat:255", "H"): ("a0ff23c66e17d6845f2f4fed78a829be04ab4e154a1bae4473476b0f2cf29c49",
+                        "2c0e3ddee6eef577b463d1c37a93360dcc980047f72144d0283009634d3bf2b3"),
+    ("flat:255", "Z"): ("7b38a0e95ca1a03c5a2978d1b0fb1933cd5b9381aa98d6da4be83dcdeb2329d7",
+                        "f7095392292654a6812511de3a0a35223fed5531dc46d00d34de91365af469d3"),
+}
+
+
+def _topology_digests(capsys, tmp_path, builder, kind, *budget):
     out_file = tmp_path / "topo.json"
     code, out, _ = run(capsys, "topology", "--builder", builder, "--kind", kind,
-                       "--budget-elems", "64", "--budget-steps", "1024",
-                       "--out", str(out_file))
+                       *budget, "--out", str(out_file))
     assert code == 0
-    digests = (hashlib.sha256(out_file.read_bytes()).hexdigest(),
-               hashlib.sha256(out.encode()).hexdigest())
-    assert digests == TOPOLOGY_DIGESTS[builder, kind]
+    return (hashlib.sha256(out_file.read_bytes()).hexdigest(),
+            hashlib.sha256(out.encode()).hexdigest())
+
+
+@pytest.mark.parametrize("builder,kind", sorted(TOPOLOGY_DIGESTS))
+def test_topology_matches_the_golden_digests(capsys, tmp_path, builder, kind):
+    assert _topology_digests(capsys, tmp_path, builder, kind, "--budget-elems",
+                             "64", "--budget-steps", "1024") == TOPOLOGY_DIGESTS[builder, kind]
+
+
+@pytest.mark.parametrize("builder,kind", sorted(TOPOLOGY_DIGESTS_256))
+def test_topology_at_256_4096_matches_the_golden_digests(capsys, tmp_path, builder, kind):
+    assert _topology_digests(
+        capsys, tmp_path, builder, kind, "--budget-elems", "256",
+        "--budget-steps", "4096", "--seed", "0") == TOPOLOGY_DIGESTS_256[builder, kind]
 
 
 # sha256 of stdout on finite inputs: the finite predicate paths must keep

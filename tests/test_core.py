@@ -19,6 +19,7 @@ from semitop.builders import (
     chain_semilattice,
     cyclic_group,
     flat_finite,
+    flat_stream,
     group_union,
     left_zero,
     m3,
@@ -321,6 +322,22 @@ def test_a_poset_is_freed_after_longest_chain_without_a_collection():
     try:
         del poset
         assert gone() is None
+    finally:
+        gc.enable()
+
+
+def test_a_dropped_stream_frees_its_views_without_a_collection():
+    # a stream keeps its views; a view holding the stream would make a
+    # reference cycle that keeps both, and the view's caches, until the
+    # cyclic collector runs
+    S = flat_stream()
+    view = bounded_view(S, Budget(64, 1024))
+    assert view.central_idempotents and view.subgroup_idempotent(3) == 3
+    handle, gone = weakref.ref(S), weakref.ref(view)
+    gc.disable()
+    try:
+        del S, view
+        assert handle() is None and gone() is None
     finally:
         gc.enable()
 
