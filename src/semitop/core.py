@@ -396,6 +396,11 @@ def power(S, x, n):
 # ---------------------------------------------------------------------------
 # the bounded view: one per handle and budget
 
+# how many leading codes a view samples: the orbit profile, the window a
+# centrality test answers for, and the cap on a singular witness
+SAMPLE_SIZE = 64
+
+
 class Prefix:
     """What a stream shows inside one budget, each fact computed once.
 
@@ -459,21 +464,54 @@ class Prefix:
         """``central`` is exact only on streams declared commutative."""
         return bool((self._declared or {}).get("commutative"))
 
+    @cached_property
+    def _window_generators(self):
+        """A set G inside the window W of the first ``SAMPLE_SIZE`` codes
+        whose generated subsemigroup contains W.  Each step adds the last
+        code of W not yet reached and closes the reached set under every
+        product that lands in W, each ordered pair multiplied once, so G
+        costs at most |W|^2 + |W| products."""
+        mul, window = self.mul, self.codes[:SAMPLE_SIZE]
+        inside = frozenset(window)
+        generators, reached, seen, closed = [], [], set(), 0
+        for w in reversed(window):
+            if w in seen:
+                continue
+            generators.append(w)
+            seen.add(w)
+            reached.append(w)
+            # reached[:closed] is closed under products landing in W
+            while closed < len(reached):
+                n = reached[closed]
+                for r in reached[:closed + 1]:
+                    for p in (mul(n, r), mul(r, n)):
+                        if p in inside and p not in seen:
+                            seen.add(p)
+                            reached.append(p)
+                closed += 1
+        return tuple(generators)
+
     def central(self, x):
-        """Does x commute with the first 64 codes?  Can only over-accept."""
+        """Does x commute with the first ``SAMPLE_SIZE`` codes?  Can only
+        over-accept.  x is tested against ``_window_generators`` alone:
+        if x commutes with a and b it commutes with ab, since
+        x(ab) = (ax)b = a(bx) = (ab)x, so x commutes with G iff it commutes
+        with the subsemigroup <G>, which contains the window W; and G lies
+        inside W.  So the answer is the one a test against all of W gives."""
         if self.central_exact:
             return True
         if x not in self._central:
             mul = self.mul
-            self._central[x] = all(mul(x, w) == mul(w, x) for w in self.codes[:64])
+            self._central[x] = all(mul(x, g) == mul(g, x)
+                                   for g in self._window_generators)
         return self._central[x]
 
     @cached_property
     def orbit_profile(self):
         """(exponents, divergent, cap): the least n making x^n idempotent
-        for each of the first 64 codes, and the codes whose orbit shows none
-        within the per-code step cap."""
-        sample = self.codes[:64]
+        for each of the first ``SAMPLE_SIZE`` codes, and the codes whose
+        orbit shows none within the per-code step cap."""
+        sample = self.codes[:SAMPLE_SIZE]
         cap = max(8, self.budget.steps // max(1, len(sample)))
         mul = self.mul
         exponents, divergent = {}, []

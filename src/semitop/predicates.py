@@ -14,7 +14,11 @@ prefixes and witness sizes, ``steps`` caps examined candidates in greedy
 growth and exponent steps in orbit walks.  Growing a witness of k codes
 costs the chain search O(k log k) products when the witness is a chain in
 the natural order, plus a full scan of the witness for each accepted pair
-the order cannot compare; the singular search checks every pair, O(k^2).
+the order cannot compare; the singular searches check every pair, O(k^2).
+No finite prefix proves a set infinitely singular, so a singular set found
+(for ``nonsingular`` or ``clifford_singular``) is evidence, not proof: it
+settles as Unknown, a declared fact decides and carries it as
+``evidence``, and its size is capped at ``min(elements, SAMPLE_SIZE)``.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from typing import Optional
 
 from .core import (
     DEFAULT_BUDGET,
+    SAMPLE_SIZE,
     Budget,
     Prefix,
     _orbit,
@@ -191,11 +196,12 @@ def _chain_search(S, budget):
 
 
 def _singular_search(S, budget):
-    """Grow a set A with A*A equal to one fixed constant (the seed's
-    square).  Returns (elements, constant) or (None, best length)."""
+    """Grow a set A of ``min(elements, SAMPLE_SIZE)`` codes with A*A equal
+    to one fixed constant (the seed's square).  Returns (elements, constant,
+    length) or (None, None, best length)."""
     mul = S.mul
     pool = carrier_prefix(S, max(budget.elements, budget.steps))
-    target = budget.elements
+    target = min(budget.elements, SAMPLE_SIZE)
     examined = 0
     best = 0
     for seed in pool:
@@ -253,11 +259,11 @@ def nonsingular(S, budget=DEFAULT_BUDGET):
         return _settle(S, "nonsingular", view, HOLDS, {"kind": "finite"})
     elems, const, best = _singular_search(S, budget)
     if elems is not None:
-        return _settle(S, "nonsingular", view, FAILS,
-                       {"kind": "singular_prefix", "elements": list(elems),
-                        "product": const, "length": len(elems)})
-    return _settle(S, "nonsingular", view, UNKNOWN,
-                   {"kind": "search_exhausted", "best_singular_length": best})
+        witness = {"kind": "singular_prefix", "elements": list(elems),
+                   "product": const, "length": len(elems)}
+    else:
+        witness = {"kind": "search_exhausted", "best_singular_length": best}
+    return _settle(S, "nonsingular", view, UNKNOWN, witness)
 
 
 def periodic(S, budget=DEFAULT_BUDGET):
@@ -309,7 +315,7 @@ def bounded(S, budget=DEFAULT_BUDGET):
     if verdict.holds:
         n = _facts(S).get("bound_exponent", evidence["max_exponent_seen"])
         if n is not None:
-            for x in view.codes[:64]:
+            for x in view.codes[:SAMPLE_SIZE]:
                 xn = power(S, x, n)
                 if S.mul(xn, xn) != xn:
                     raise CorpusIntegrityError(
@@ -401,8 +407,9 @@ def clifford_plus_finite(S, budget=DEFAULT_BUDGET):
 def clifford_singular(S, budget=DEFAULT_BUDGET):
     """Some infinite set outside the subgroup union multiplies into it.
 
-    The Holds-witness is a bound-sized set A disjoint from the subgroup
-    union (by declared part codes when available) with A*A inside it."""
+    The evidence is a set A of up to ``min(elements, SAMPLE_SIZE)`` codes
+    disjoint from the subgroup union (by declared part codes when
+    available) with A*A inside it; only a declared fact settles."""
     view = bounded_view(S, budget)
     if view.exact:
         return _settle(S, "clifford_singular", view, FAILS, {"kind": "finite"})
@@ -415,7 +422,7 @@ def clifford_singular(S, budget=DEFAULT_BUDGET):
 
     candidates = [x for x in view.codes if not in_part(x)]
     # the pool excludes the subgroup union, so cap the target by what exists
-    target = max(2, min(budget.elements, len(candidates)))
+    target = max(2, min(budget.elements, SAMPLE_SIZE, len(candidates)))
     group = []
     examined = 0
     for x in candidates:
@@ -428,12 +435,11 @@ def clifford_singular(S, budget=DEFAULT_BUDGET):
             if len(group) >= target:
                 break
     if len(group) >= target and declared_part is not None:
-        return _settle(S, "clifford_singular", view, HOLDS,
-                       {"kind": "singular_into_subgroups", "elements": group[:32],
-                        "length": len(group),
-                        "products_within": sorted(set(declared_part))})
-    return _settle(S, "clifford_singular", view, UNKNOWN,
-                   {"kind": "search_exhausted", "best_length": len(group)})
+        witness = {"kind": "singular_into_subgroups", "elements": group[:32],
+                   "length": len(group), "products_within": sorted(part)}
+    else:
+        witness = {"kind": "search_exhausted", "best_length": len(group)}
+    return _settle(S, "clifford_singular", view, UNKNOWN, witness)
 
 
 def unipotent(S, budget=DEFAULT_BUDGET):
@@ -512,6 +518,22 @@ def evaluate_suite(S, budget=DEFAULT_BUDGET):
 # ---------------------------------------------------------------------------
 # witness replay
 
+SINGULAR_KINDS = ("singular_prefix", "singular_into_subgroups")
+
+
+def _singular_holds(S, w):
+    """Check a singular set pairwise: every product equals the recorded
+    constant, or lands in the recorded part while no element does."""
+    elems = w["elements"]
+    if w["kind"] == "singular_prefix":
+        c = w["product"]
+        return len(elems) >= w["length"] and all(
+            S.mul(x, y) == c for x in elems for y in elems)
+    part = set(w["products_within"])
+    return all(S.mul(x, y) in part for x in elems for y in elems) and all(
+        x not in part for x in elems)
+
+
 def replay(S, name, verdict, budget=None):
     """Re-check a verdict's evidence from scratch.  Returns True when the
     witness still certifies the claimed status."""
@@ -526,16 +548,17 @@ def replay(S, name, verdict, budget=None):
         facts = _facts(S)
         if fact not in facts or bool(facts[fact]) != w.get("value"):
             return False
+        evidence = w.get("evidence") or {}
+        if evidence.get("kind") in SINGULAR_KINDS and not _singular_holds(S, evidence):
+            return False
         fresh = PREDICATES[name](S, budget)  # search must still not contradict
         return fresh.status == verdict.status
     if kind == "chain":
         elems = w["elements"]
         return len(elems) >= w["length"] and all(
             S.mul(x, y) in (x, y) for x in elems for y in elems)
-    if kind == "singular_prefix":
-        elems, c = w["elements"], w["product"]
-        return len(elems) >= w["length"] and all(
-            S.mul(x, y) == c for x in elems for y in elems)
+    if kind in SINGULAR_KINDS:
+        return _singular_holds(S, w)
     if kind == "subgroup_growth":
         e = w["idempotent"]
         certified = set(Prefix(S, budget).subgroup(e))
@@ -543,12 +566,6 @@ def replay(S, name, verdict, budget=None):
     if kind == "clifford_growth":
         members = _clifford_members(Prefix(S, budget))
         return all(x in members for x in w["sample"])
-    if kind == "singular_into_subgroups":
-        part = set(w["products_within"])
-        elems = w["elements"]
-        ok_products = all(S.mul(x, y) in part for x in elems for y in elems)
-        ok_outside = all(x not in part for x in elems)
-        return ok_products and ok_outside
     if kind == "idempotent_pair":
         e, f = w["pair"]
         return e != f and S.mul(e, e) == e and S.mul(f, f) == f
@@ -559,3 +576,4 @@ def replay(S, name, verdict, budget=None):
                 "certified_fraction", "uncertified_fraction"):
         return verdict.status == UNKNOWN
     return False
+

@@ -16,7 +16,7 @@ from semitop.builders import (
     zero_semigroup,
 )
 from semitop.classify import center_necessary_conditions, classify, implication_violations
-from semitop.core import Budget, build_finite, direct_product
+from semitop.core import Budget, build_finite, build_stream, direct_product
 from semitop.corpus import enumerate_finite, relabeled_table
 from semitop.errors import BadParameter
 from semitop.predicates import FAILS, HOLDS, UNKNOWN, Verdict
@@ -66,8 +66,9 @@ def test_aperiodicity_refutes_closedness_by_declaration():
 def test_singular_prefix_refutes_closedness():
     report = classify(STREAMS["nullstream"], BUDGET, name="nullstream")
     v = report.theorems["C_closed"]
-    assert v.fails and v.source == "search"
+    assert v.fails and v.source == "declared"
     assert v.witness["failing"] == ["nonsingular"]
+    assert report.suite["nonsingular"].witness["evidence"]["kind"] == "singular_prefix"
     # one idempotent, so the unipotent specialization fires and agrees
     assert report.unipotent.holds
     assert report.theorems["unipotent_C_closed"].fails
@@ -138,10 +139,34 @@ def test_intadd_subgroup_certificate_scans_each_inverse_pair_once():
 
 
 def test_chain_search_keeps_stream_classification_under_its_ceilings():
-    # about 68 k and 327 k products; a pairwise chain search alone costs
-    # 1024^2 = 1,048,576 on natmin and 1,054,702 on prodcenter
-    for name, ceiling in (("natmin", 100_000), ("prodcenter", 400_000)):
+    # about 68 k and 167 k products; a pairwise chain search alone costs
+    # 1024^2 = 1,048,576 on natmin and 1,054,702 on prodcenter, and testing
+    # each central candidate against all 64 window codes costs prodcenter
+    # 327 k in all
+    for name, ceiling in (("natmin", 100_000), ("prodcenter", 200_000)):
         classify(capped(STREAMS[name], ceiling), Budget(1024, 16384), name=name)
+
+
+def test_singular_evidence_keeps_null_classification_under_its_ceiling():
+    # about 61 k products each; growing the singular sets to the element
+    # budget scans 1024^2 pairs twice, 2,147,645 products in all
+    for name in ("nullstream", "nilstream"):
+        report = classify(capped(STREAMS[name], 100_000), Budget(1024, 16384),
+                          name=name)
+        evidence = report.suite["nonsingular"].witness["evidence"]
+        assert len(evidence["elements"]) == 64, name
+
+
+@pytest.mark.parametrize("budget", [Budget(64, 1024), Budget(1024, 16384)])
+def test_a_singular_prefix_refutes_nothing_without_a_declaration(budget):
+    # a finite null semigroup given as a stream: every prefix is one
+    # singular set, yet the semigroup is finite, so absolutely T1S-closed
+    S = build_stream("zero100", lambda x, y: 0, lambda: iter(range(100)))
+    report = classify(S, budget)
+    for name in ("nonsingular", "clifford_singular"):
+        assert report.suite[name].status == UNKNOWN, name
+    for kind in THEOREM_KINDS:
+        assert not report.theorems[kind].fails, kind
 
 
 def test_finite_classify_takes_commutativity_from_its_suite():

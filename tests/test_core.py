@@ -25,12 +25,14 @@ from semitop.builders import (
     m3,
     monogenic as monogenic_builder,
     natmin,
+    prodcenter,
     standard_finite_corpus,
     stream_corpus,
     zero_semigroup,
 )
 from semitop.classify import classify
 from semitop.core import (
+    SAMPLE_SIZE,
     Budget,
     CarrierSet,
     adjoin_identity,
@@ -362,6 +364,19 @@ def test_idempotents_and_center_match_oracle():
         t = [list(r) for r in S.table]
         assert sorted(idempotents(S).elements) == ob.idempotents(t), name
         assert sorted(center(S).elements) == ob.center(t), name
+
+
+@pytest.mark.parametrize("budget", [Budget(16, 256), Budget(256, 4096)])
+@pytest.mark.parametrize("make", [prodcenter,
+                                  lambda: direct_product(left_zero(2), natmin())])
+def test_central_on_window_generators_matches_the_whole_window(make, budget):
+    # x is tested against a generating set of the window only; the answer
+    # must be the one the test against every window code gives
+    S = make()
+    view = bounded_view(S, budget)
+    window = view.codes[:SAMPLE_SIZE]
+    for x in carrier_prefix(S, 3000):
+        assert view.central(x) == all(S.mul(x, w) == S.mul(w, x) for w in window), x
 
 
 def test_h_class_matches_oracle_maximal_subgroup():

@@ -102,9 +102,10 @@ def test_natmin_chain_refutation():
 
 
 def test_nullstream_singularity():
+    # a singular set is evidence: the declared fact refutes and carries it
     v = nonsingular(nullstream(), Budget(32, 4096))
-    assert v.fails and v.source == "search"
-    w = v.witness
+    assert v.fails and v.source == "declared"
+    w = v.witness["evidence"]
     assert w["kind"] == "singular_prefix" and w["length"] == 32
     assert replay(nullstream(), "nonsingular", v)
 
@@ -178,6 +179,30 @@ def test_finite_clifford_part_with_a_long_chain_is_flagged():
     suite["chain_finite"] = Verdict(FAILS, "search", None, BUDGET)
     with pytest.raises(CorpusIntegrityError, match="clifford_finite holds"):
         check_suite_consistency(suite, "synthetic")
+
+
+def _null_monoid():
+    """Zero 0, identity 1 and atoms 2, 3, ... whose products are all 0."""
+    def mul(x, y):
+        return y if x == 1 else x if y == 1 else 0
+
+    return build_stream("nullmonoid", mul, lambda: itertools.count(0),
+                        declared_facts={"nonsingular": False, "clifford_singular": True,
+                                        "clifford_part_codes": [0, 1]})
+
+
+@pytest.mark.parametrize("name,kind", [("nonsingular", "singular_prefix"),
+                                       ("clifford_singular", "singular_into_subgroups")])
+def test_replay_checks_declared_singular_evidence_pairwise(name, kind):
+    S = _null_monoid()
+    v = predicates.PREDICATES[name](S, Budget(32, 1024))
+    evidence = v.witness["evidence"]
+    assert v.source == "declared" and evidence["kind"] == kind
+    assert replay(S, name, v)
+    # the identity in place of one atom: its square leaves the product set
+    elements = evidence["elements"][:-1] + [1]
+    corrupt = v.witness | {"evidence": evidence | {"elements": elements}}
+    assert not replay(S, name, Verdict(v.status, v.source, corrupt, v.budget))
 
 
 def test_replay_rejects_inflated_chain_length():
