@@ -19,8 +19,6 @@ from .core import (
     central_idempotents,
     clifford_parts,
     direct_product,
-    group_inverse,
-    h_class,
     idempotents,
     is_finite,
     monogenic,
@@ -30,7 +28,6 @@ from .core import (
 )
 from .predicates import FAILS, HOLDS, UNKNOWN, Verdict, evaluate_suite
 from .classify import ClassificationReport, classify, implication_violations
-from .quotients import congruence_closure, quotient, rees_quotient
 from .topology import (
     EBase,
     ShiftNeighborhood,
@@ -40,9 +37,7 @@ from .topology import (
     left_quotient,
     replay_certificate,
     shift,
-    sufficient_regularity,
     topologizability_verdict,
-    validate_remote_base,
 )
 from .corpus import (
     ReportDocument,

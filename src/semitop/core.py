@@ -13,14 +13,12 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, Optional
 
 from .errors import (
     BadParameter,
     MalformedTable,
     NonAssociative,
-    NotIdempotent,
-    NotInCliffordPart,
 )
 
 
@@ -327,8 +325,6 @@ class StreamSemigroup:
     def __post_init__(self):
         self.mul = self.mul_fn
 
-
-Semigroup = Union[FiniteSemigroup, StreamSemigroup]
 
 
 def build_stream(name, mul_fn, enumerate_carrier, label_fn=str, division_oracle=None,
@@ -638,14 +634,6 @@ class IdempotentPoset:
     def leq(self, x, y):
         return (x, y) in self._leq
 
-    def minimal(self):
-        return tuple(e for e in self.elements
-                     if all(not self.leq(f, e) or f == e for f in self.elements))
-
-    def maximal(self):
-        return tuple(e for e in self.elements
-                     if all(not self.leq(e, f) or f == e for f in self.elements))
-
     def longest_chain(self):
         """One longest chain, listed bottom to top."""
         best = {}
@@ -673,39 +661,17 @@ class IdempotentPoset:
         return tuple(out)
 
 
-def natural_order(S, elements=None, budget=DEFAULT_BUDGET):
-    """Natural partial order on idempotents; raises NotIdempotent if an
-    explicitly supplied element is not idempotent."""
-    if elements is None:
-        found = idempotents(S, budget)
-        elems, exact = tuple(found.elements), found.exact
-    else:
-        elems = tuple(elements)
-        exact = is_finite(S)
-        for e in elems:
-            if S.mul(e, e) != e:
-                raise NotIdempotent(f"{e} is not idempotent")
+def natural_order(S, budget=DEFAULT_BUDGET):
+    """Natural partial order on the idempotents the view finds."""
+    found = idempotents(S, budget)
+    elems, exact = tuple(found.elements), found.exact
     rel = frozenset((x, y) for x in elems for y in elems
                     if S.mul(x, y) == x and S.mul(y, x) == x)
     return IdempotentPoset(elements=elems, _leq=rel, exact=exact)
 
 
 # ---------------------------------------------------------------------------
-# H-classes, subgroups, group inverses
-
-def h_class(S, a, budget=DEFAULT_BUDGET):
-    """The H-class of ``a``: same principal right and left ideal.
-
-    Exact on finite handles.  On a stream it is the view's certified
-    subgroup of ``a`` (``Prefix.subgroup``), or ``(a,)`` when ``a`` has no
-    certificate, so the answer under-approximates and is flagged inexact.
-    """
-    if is_finite(S):
-        return BoundedSet(S.h_partition[a], exact=True)
-    view = bounded_view(S, budget)
-    e = view.subgroup_idempotent(a)
-    return BoundedSet((a,) if e is None else view.subgroup(e), exact=False)
-
+# subgroups
 
 @dataclass
 class CliffordDecomposition:
@@ -735,20 +701,6 @@ def clifford_parts(S, budget=DEFAULT_BUDGET):
     residue = tuple(x for x in view.codes if x not in sub)
     return CliffordDecomposition(view.idempotents, classes, sub, central, residue,
                                  exact=view.exact)
-
-
-def group_inverse(S, x, budget=DEFAULT_BUDGET):
-    """Inverse of ``x`` inside its subgroup H-class.
-
-    Uniquely determined by x*y*x == x, y*x*y == y, x*y == y*x; raises
-    NotInCliffordPart when x lies in no subgroup (certified on finite
-    handles, whose view is the whole carrier; at bound on streams)."""
-    codes = bounded_view(S, budget).codes
-    for y in codes:
-        xy = S.mul(x, y)
-        if xy == S.mul(y, x) and S.mul(xy, x) == x and S.mul(xy, y) == y:
-            return y
-    raise NotInCliffordPart(f"no inverse for {x} among {len(codes)} codes")
 
 
 # ---------------------------------------------------------------------------

@@ -431,7 +431,7 @@ def classification_record(report):
     }
 
 
-def entry_record(entry, budget=DEFAULT_BUDGET, topology=False):
+def entry_record(entry, budget=DEFAULT_BUDGET):
     """Analyze one corpus entry into a JSON-plain record."""
     S = entry.semigroup
     record = {
@@ -442,20 +442,17 @@ def entry_record(entry, budget=DEFAULT_BUDGET, topology=False):
         "size": S.size if is_finite(S) else None,
         "classification": classification_record(classify(S, budget, name=entry.id)),
     }
-    if topology:
-        from .topology import topologizability_verdict
-        record["topologizability"] = topologizability_verdict(S, budget).to_dict()
     # witnesses may carry tuples; normalize so documents compare equal after
     # a write/read cycle
     return json.loads(json.dumps(record))
 
 
-def scan_corpus(entries, budget=DEFAULT_BUDGET, topology=False):
+def scan_corpus(entries, budget=DEFAULT_BUDGET):
     """Analyze a corpus, one entry after another; records come back in id
     order."""
     entries = list(entries)
     ids = [e.id for e in entries]
     if len(set(ids)) != len(ids):
         raise BadParameter("corpus entry ids must be unique")
-    records = [entry_record(e, budget, topology=topology) for e in entries]
+    records = [entry_record(e, budget) for e in entries]
     return sorted(records, key=lambda r: r["id"])

@@ -21,36 +21,12 @@ class NotIdempotent(SemitopError):
     """An element expected to be idempotent is not."""
 
 
-class NotInCliffordPart(SemitopError):
-    """Element lies in no subgroup, so it has no group inverse."""
-
-
-class NotAnIdeal(SemitopError):
-    """Subset is not a two-sided ideal; carries a counterexample."""
-
-    def __init__(self, element, factor, product, side):
-        self.counterexample = (element, factor, product, side)
-        super().__init__(
-            f"{side} product {factor}*{element} escapes the subset (lands on {product})"
-            if side == "left"
-            else f"{side} product {element}*{factor} escapes the subset (lands on {product})"
-        )
-
-
-class IllDefinedQuotient(SemitopError):
-    """Partition is not compatible with the operation."""
-
-
 class SizeCapExceeded(SemitopError):
     """Requested exhaustive computation is above the supported size cap."""
 
 
 class BadParameter(SemitopError):
     """Parameter outside its documented domain."""
-
-
-class NoDivisionOracle(SemitopError):
-    """Stream has no left-division oracle and scanning hit the budget."""
 
 
 class Inapplicable(SemitopError):

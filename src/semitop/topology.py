@@ -37,11 +37,10 @@ from .errors import (
     CertificationFailed,
     CorpusIntegrityError,
     Inapplicable,
-    NoDivisionOracle,
     NotFound,
     NotIdempotent,
 )
-from .predicates import FAILS, HOLDS, UNKNOWN, Verdict, _facts
+from .predicates import FAILS, HOLDS, UNKNOWN, Verdict
 
 # evidence threshold: an up-set this large at the bound counts as
 # "infinite-looking" when hunting for a non-isolated idempotent
@@ -56,21 +55,19 @@ def _leq(S, x, y):
 # ---------------------------------------------------------------------------
 # left quotients and shifts
 
-def left_quotient(S, b, e, budget=DEFAULT_BUDGET, require_exact=False):
+def left_quotient(S, b, e, budget=DEFAULT_BUDGET):
     """The set {x : x*e == b} of left factors carrying e to b.
 
     Membership is always decided exactly; what varies is the enumerator.
     Finite handles and oracle-backed streams enumerate the whole set.
     Other streams scan a bounded carrier prefix, and the result is marked
-    inexact; with ``require_exact`` that case raises instead."""
+    inexact."""
     if S.mul(e, e) != e:
         raise NotIdempotent(f"{e} is not idempotent")
     if is_finite(S):
         return CarrierSet.of(x for x in S.elements() if S.mul(x, e) == b)
     if S.division_oracle is not None:
         return S.division_oracle(b, e)
-    if require_exact:
-        raise NoDivisionOracle(f"{S.name} has no left-division oracle")
     scan = max(budget.elements, budget.steps)
 
     def gen():
@@ -210,9 +207,9 @@ class EBase:
     central idempotents, for kind Z of idempotents (centrality is not
     required there, matching the asymmetry of the three definitions).
 
-    A base carries its whole context: the handle ``S``, the anchor ``e``,
-    the ``kind`` and the ``budget``, so ``is_regular`` and
-    ``sufficient_regularity`` read them from it.  Centrality, subgroup
+    A base carries its whole context: the handle ``S``, the anchor ``e``
+    (a code of the table on a finite handle), the ``kind`` and the
+    ``budget``, so ``is_regular`` reads them from it.  Centrality, subgroup
     membership and the central idempotents come from the handle's bounded
     view at the base's budget (``view``), so every base and certificate on
     one handle scans the center once.
@@ -227,6 +224,8 @@ class EBase:
     def __init__(self, S, e, kind="E", budget=DEFAULT_BUDGET):
         if kind not in ("E", "H", "Z"):
             raise BadParameter(f"unknown base kind {kind!r}")
+        if is_finite(S) and not 0 <= e < S.size:
+            raise BadParameter(f"anchor {e} outside 0..{S.size - 1}")
         if S.mul(e, e) != e:
             raise NotIdempotent(f"{e} is not idempotent")
         self.S = S
@@ -268,14 +267,6 @@ class EBase:
         F = tuple(sorted(set(params)))
         self._check_f(F)
         return F
-
-    def refine(self, p1, p2):
-        """Parameters of a member inside the intersection of two members."""
-        if self.kind == "Z":
-            (n1, f1), (n2, f2) = self.normalize(p1), self.normalize(p2)
-            return (n1 * n2, tuple(sorted(set(f1) | set(f2))))
-        f1, f2 = self.normalize(p1), self.normalize(p2)
-        return tuple(sorted(set(f1) | set(f2)))
 
     def default_params(self):
         return (1, ()) if self.kind == "Z" else ()
@@ -397,110 +388,6 @@ class EBase:
 
 
 # ---------------------------------------------------------------------------
-# validation of arbitrary (custom) indexed families
-
-@dataclass
-class ValidationReport:
-    ok: bool
-    checked: dict
-    violations: list
-    unconfirmed: list
-
-
-def validate_remote_base(S, base, sample=16, budget=DEFAULT_BUDGET, seed=0):
-    """Sampled check of the two base laws on ``base``: an ``EBase``, or
-    any constant family with an anchor ``e`` and ``member_sets()``, a list
-    of (index, CarrierSet) pairs.
-
-    Law 1 (directedness and confinement): every pair of members must
-    contain a third inside their intersection, itself inside e/e and the
-    center.  Law 2 (shift compatibility): for sampled x, y and target
-    member W there must be members U, V with V inside W, U*y inside y*W,
-    and u*b*v inside b*W for b in y/e.  Violations carry the offending
-    tuple; bounded searches that merely fail to confirm land in
-    ``unconfirmed``."""
-    rng = random.Random(seed)
-    violations = []
-    unconfirmed = []
-    scan = max(8, budget.elements // 8)
-    e = base.e
-
-    if isinstance(base, EBase):
-        plist = base.sample_params(rng, 4, max_f=3)
-        pairs = [(p1, p2) for p1 in plist for p2 in plist]
-        instantiate = base.member
-        refine = base.refine
-    else:
-        sets = base.member_sets()
-        pairs = [(i, j) for i, _ in sets for j, _ in sets]
-        bysets = dict(sets)
-        instantiate = lambda i: bysets[i]
-        refine = None
-
-    checked = {"pairs": 0, "law2_triples": 0}
-    for p1, p2 in pairs:
-        checked["pairs"] += 1
-        a_set, b_set = instantiate(p1), instantiate(p2)
-        if refine is not None:
-            candidates = [refine(p1, p2)]
-        else:
-            candidates = [p for p, _ in base.member_sets()]
-        bad = None
-        for cp in candidates:
-            cpre, _ = instantiate(cp).prefix(scan)
-            bad = next((c for c in cpre
-                        if not (a_set.member(c) and b_set.member(c)
-                                and S.mul(c, e) == e)), None)
-            if bad is None:
-                break
-        else:
-            # no candidate fits: the last one's stray element is the witness
-            violations.append({"law": 1, "pair": (p1, p2), "element": bad})
-
-    ground = carrier_prefix(S, min(sample * 4, budget.elements))
-    plist = (base.sample_params(rng, 3, max_f=2) if isinstance(base, EBase)
-             else [p for p, _ in base.member_sets()])
-    for _ in range(sample):
-        x = rng.choice(ground)
-        y = rng.choice(ground)
-        wp = rng.choice(plist)
-        checked["law2_triples"] += 1
-        W = instantiate(wp)
-        U = V = W  # members are central subsemigroups, so this choice works
-        wpre, wdone = W.prefix(scan)
-        upre, _ = U.prefix(scan)
-        ok = True
-        for u in upre:
-            uy = S.mul(u, y)
-            if not any(S.mul(y, w) == uy for w in wpre):
-                if wdone:
-                    violations.append({"law": 2, "x": x, "y": y, "params": wp,
-                                       "element": u, "clause": "Uy"})
-                else:
-                    unconfirmed.append({"law": 2, "x": x, "y": y, "clause": "Uy"})
-                ok = False
-                break
-        if not ok:
-            continue
-        qpre, _ = left_quotient(S, y, e, budget).prefix(max(2, scan // 2))
-        for b in qpre[:4]:
-            for u in upre[:4]:
-                for v in wpre[:4]:
-                    ubv = S.mul(S.mul(u, b), v)
-                    if not any(S.mul(b, w) == ubv for w in wpre):
-                        if wdone:
-                            violations.append({"law": 2, "x": x, "y": y,
-                                               "params": wp, "b": b,
-                                               "element": (u, v),
-                                               "clause": "UbV"})
-                        else:
-                            unconfirmed.append({"law": 2, "x": x, "y": y,
-                                                "clause": "UbV"})
-    return ValidationReport(ok=not violations, checked=checked,
-                            violations=violations, unconfirmed=unconfirmed)
-
-
-# ---------------------------------------------------------------------------
 # regularity
 
 def _least_fixing_idempotent(S, b, pool):
@@ -589,68 +476,6 @@ def is_regular(base, b):
                         "exhaustive": exhaustive}, budget)
     return Verdict(UNKNOWN, "search",
                    {"kind": "search_exhausted", "candidates": tried}, budget)
-
-
-def sufficient_regularity(base, sample=16, seed=0):
-    """Check the hypotheses under which ``base`` is provably regular; S, e,
-    the budget and the mode (the base's kind) are read off the base.
-
-    Modes E and H need the central idempotent order to have no infinite
-    descent, and members avoiding the up-set of any finite F inside the
-    central subgroup union.  Mode Z additionally needs nonsingularity and
-    every element power-convergent, with members made of high powers.
-    The report records each hypothesis as confirmed, refuted, or
-    unconfirmed at the bound."""
-    from .predicates import eventually_clifford, nonsingular
-
-    S, e, mode, budget = base.S, base.e, base.kind, base.budget
-    rng = random.Random(seed)
-    hypotheses = {}
-    declared = _facts(S)
-
-    def wf_status(fact_key):
-        if base.view.exact:
-            return "confirmed"
-        if fact_key in declared:
-            return "declared" if declared[fact_key] else "refuted"
-        return "unconfirmed"
-
-    if mode in ("E", "H"):
-        hypotheses["central_idempotents_well_founded"] = wf_status("ez_chain_finite")
-    else:
-        hypotheses["idempotents_well_founded"] = wf_status("ez_chain_finite")
-        hypotheses["nonsingular"] = nonsingular(S, budget).status
-        hypotheses["eventually_clifford"] = eventually_clifford(S, budget).status
-
-    ground = carrier_prefix(S, min(64, budget.elements))
-    pool = list(base.parameter_pool())
-    checks = []
-    scan = max(8, budget.elements // 8)
-    for _ in range(sample):
-        b = rng.choice(ground)
-        if S.mul(b, e) == b:
-            continue
-        k = rng.randint(0, min(3, len(pool)))
-        F = tuple(sorted(rng.sample(pool, k))) if k else ()
-        params = (rng.randint(1, 3), F) if mode == "Z" else F
-        try:
-            V = base.member(params)
-        except BadParameter:
-            continue
-        vpre, _ = V.prefix(scan)
-        bad = None
-        for v in vpre:
-            if mode in ("E", "H"):
-                f = v if S.mul(v, v) == v else base.view.subgroup_idempotent(v)
-                if f is None or any(_leq(S, g, f) for g in F):
-                    bad = v
-                    break
-        checks.append({"b": b, "params": base.describe(params),
-                       "members_checked": len(vpre), "violation": bad})
-    refuted = [k for k, v in hypotheses.items() if v in ("refuted", FAILS)]
-    return {"mode": mode, "hypotheses": hypotheses, "samples": checks,
-            "refuted": refuted,
-            "ok": not refuted and all(c["violation"] is None for c in checks)}
 
 
 # ---------------------------------------------------------------------------

@@ -100,49 +100,6 @@ def maximal_subgroup(t, e):
     return sorted(best)
 
 
-def subgroup_union(t):
-    """Union of all maximal subgroups."""
-    out = set()
-    for e in idempotents(t):
-        out.update(maximal_subgroup(t, e))
-    return sorted(out)
-
-
-def set_partitions(n):
-    """All partitions of {0..n-1} via restricted growth strings."""
-
-    def rec(i, maxblock, rgs):
-        if i == n:
-            blocks = {}
-            for idx, b in enumerate(rgs):
-                blocks.setdefault(b, []).append(idx)
-            yield [tuple(blocks[b]) for b in sorted(blocks)]
-            return
-        for b in range(maxblock + 2):
-            yield from rec(i + 1, max(maxblock, b), rgs + [b])
-
-    yield from rec(1, 0, [0])
-
-
-def is_congruence(t, blocks):
-    n = len(t)
-    cls = [0] * n
-    for ci, block in enumerate(blocks):
-        for x in block:
-            cls[x] = ci
-    for block in blocks:
-        for x in block:
-            for y in block:
-                for a in range(n):
-                    if cls[t[a][x]] != cls[t[a][y]] or cls[t[x][a]] != cls[t[y][a]]:
-                        return False
-    return True
-
-
-def congruences(t):
-    return [blocks for blocks in set_partitions(len(t)) if is_congruence(t, blocks)]
-
-
 def least_uniform_exponent(t, cap=100000):
     """Smallest n with x^n idempotent for every x, by direct scanning."""
     n = len(t)
@@ -157,18 +114,6 @@ def least_uniform_exponent(t, cap=100000):
         if all(t[pw(x, k)][pw(x, k)] == pw(x, k) for x in range(n)):
             return k
     raise AssertionError("no uniform exponent found below cap")
-
-
-def ideals(t):
-    """All nonempty two-sided ideals, by subset scan."""
-    n = len(t)
-    out = []
-    for r in range(1, n + 1):
-        for sub in itertools.combinations(range(n), r):
-            s = set(sub)
-            if all(t[i][x] in s and t[x][i] in s for i in s for x in range(n)):
-                out.append(sub)
-    return out
 
 
 def greedy_chain(mul, pool, target, steps):

@@ -161,6 +161,15 @@ def test_topology_needs_a_viable_anchor(capsys):
     assert code == 3 and "not found" in err
 
 
+@pytest.mark.parametrize("anchor", ["7", "-1"])
+def test_topology_rejects_an_anchor_outside_the_table(capsys, anchor):
+    # --e takes any int; a table is indexed by codes 0..n-1 only
+    code, out, err = run(capsys, "topology", "--builder", "chain:3",
+                         "--e", anchor)
+    assert code == 1 and out == ""
+    assert err == f"error: anchor {anchor} outside 0..2\n"
+
+
 def test_topology_on_a_group_is_discrete(capsys):
     code, out, _ = run(capsys, "topology", "--builder", "cyclic:4",
                        "--kind", "Z", "--budget", "64")

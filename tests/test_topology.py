@@ -1,6 +1,5 @@
 """Left quotients, shift neighborhoods, anchored bases, and certification."""
 
-import dataclasses
 import gc
 import itertools
 import random
@@ -30,7 +29,6 @@ from semitop.errors import (
     BadParameter,
     CertificationFailed,
     Inapplicable,
-    NoDivisionOracle,
     NotFound,
     NotIdempotent,
 )
@@ -45,25 +43,10 @@ from semitop.topology import (
     left_quotient,
     replay_certificate,
     shift,
-    sufficient_regularity,
     topologizability_verdict,
-    validate_remote_base,
 )
 
 BUDGET = Budget(256, 4096)
-
-
-@dataclasses.dataclass
-class CustomBase:
-    """A constant family given by explicit member sets, with no refinement
-    rule: what ``validate_remote_base`` accepts besides an ``EBase``."""
-
-    S: object
-    e: int
-    members: list
-
-    def member_sets(self):
-        return list(enumerate(self.members))
 
 
 # -- left quotients ----------------------------------------------------------
@@ -82,13 +65,11 @@ def test_left_quotient_without_oracle_is_marked_inexact():
     assert not q.exact
     members, _ = q.prefix(8)
     assert members and all(S.mul(x, 5) == 3 for x in members)
-    with pytest.raises(NoDivisionOracle):
-        left_quotient(S, 3, 5, BUDGET, require_exact=True)
 
 
 def test_left_quotient_uses_division_oracle():
     S = flat_stream()
-    q = left_quotient(S, 0, 4, BUDGET, require_exact=True)
+    q = left_quotient(S, 0, 4, BUDGET)
     assert q.exact
     assert q.member(7) and not q.member(4)  # everything but the divisor maps to 0
     own, done = left_quotient(S, 4, 4, BUDGET).prefix(5)
@@ -305,18 +286,6 @@ def test_base_parameter_validation():
         EBase(flat_finite(3), 1, "E").member((0,))  # 0 lies below the anchor
 
 
-def test_refinement_lands_in_the_intersection():
-    base = EBase(flat_stream(), 0, "E", BUDGET)
-    joint = base.refine((1,), (2,))
-    assert joint == (1, 2)
-    inter = base.member(joint)
-    a, b = base.member((1,)), base.member((2,))
-    pre, _ = inter.prefix(16)
-    assert all(a.member(x) and b.member(x) for x in pre)
-    zbase = EBase(flat_stream(), 0, "Z", BUDGET)
-    assert zbase.refine((2, (1,)), (3, ())) == (6, (1,))
-
-
 @pytest.mark.parametrize("S", [flat_stream(), flat_finite(7)],
                          ids=["flat", "flat:7"])
 def test_power_base_membership_matches_a_fresh_scan(S):
@@ -345,24 +314,6 @@ def test_a_dropped_base_frees_its_members_without_a_collection(kind):
         gc.enable()
 
 
-# -- base-law validation -----------------------------------------------------
-
-def test_builtin_base_satisfies_the_laws():
-    S = flat_stream()
-    report = validate_remote_base(S, EBase(S, 0, "E", BUDGET), sample=8,
-                                  budget=BUDGET)
-    assert report.ok and not report.violations and not report.unconfirmed
-    assert report.checked["pairs"] > 0 and report.checked["law2_triples"] > 0
-
-
-def test_undirected_family_is_rejected():
-    S = flat_finite(3)
-    bad = CustomBase(S, 0, [CarrierSet.of((0, 1)), CarrierSet.of((0, 2))])
-    report = validate_remote_base(S, bad, sample=4)
-    assert not report.ok
-    assert any(v["law"] == 1 for v in report.violations)
-
-
 # -- regularity --------------------------------------------------------------
 
 def test_moved_point_is_separated_from_the_anchor():
@@ -379,17 +330,6 @@ def test_regularity_is_inapplicable_for_fixed_points():
     base = EBase(S, 0, "E", BUDGET)
     with pytest.raises(Inapplicable):
         is_regular(base, 0)
-
-
-def test_sufficient_hypotheses_for_builtin_bases():
-    S = flat_stream()
-    sr = sufficient_regularity(EBase(S, 0, "E", BUDGET), sample=8)
-    assert sr["ok"] and sr["refuted"] == []
-    assert sr["hypotheses"]["central_idempotents_well_founded"] == "declared"
-    srz = sufficient_regularity(EBase(S, 0, "Z", BUDGET), sample=8)
-    assert srz["ok"]
-    assert srz["hypotheses"]["nonsingular"] == HOLDS
-    assert srz["hypotheses"]["eventually_clifford"] == HOLDS
 
 
 # -- certification and replay ------------------------------------------------
