@@ -282,6 +282,7 @@ FINITE_DIGESTS = {
     ("enumerate", "4 --dedupe-iso"): "17dc2d40b478078b2e953eddf0a4d9765f32c12f2913acb69ddc102ff7fcf830",
     ("enumerate", "4 --commutative-only"): "0c80249e7ac51f4913ada2b14c3044fa643679a2a8516d771a61a55855386d5f",
     ("enumerate", "4 --commutative-only --dedupe-iso"): "0e0d7f0418324adbe1744c4e591ca4c86785888cb137fd91e4af4305a907a7d6",
+    ("enumerate", "5"): "776a1de5a3511c81cfcea0ba0091d48556775ecaed0bf96a03810b4c8d4af950",
     ("enumerate", "5 --commutative-only"): "bfff1e602d624360c5d44901cd27b52b6a46812aebc23913bb35bbb65ee5212a",
     ("enumerate", "5 --commutative-only --dedupe-iso"): "c55d1850bd668371e496da24388c6f531ce680ff94f01ed985248e60796e67fb",
 }
