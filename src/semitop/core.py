@@ -139,9 +139,8 @@ class FiniteSemigroup:
 
     @cached_property
     def commutative(self):
-        t = self.table
-        n = len(t)
-        return all(t[i][j] == t[j][i] for i in range(n) for j in range(i + 1, n))
+        """The table equals its transpose: every code is central."""
+        return len(self.center_codes) == len(self.table)
 
     @cached_property
     def idempotent_codes(self):
@@ -149,40 +148,44 @@ class FiniteSemigroup:
 
     @cached_property
     def center_codes(self):
+        """The codes z whose row equals their column: z*x == x*z for all x.
+        The columns come one at a time, as the rows of the transpose."""
         t = self.table
-        n = len(t)
-        return tuple(z for z in range(n) if all(t[z][x] == t[x][z] for x in range(n)))
+        return tuple(z for z, column in enumerate(zip(*t)) if t[z] == column)
 
     @cached_property
-    def _green_keys(self):
-        # principal right/left ideals xX^1 and X^1x, as frozensets
-        t = self.table
-        n = len(t)
-        rkeys = [frozenset(t[x]) | {x} for x in range(n)]
-        lkeys = [frozenset(t[y][x] for y in range(n)) | {x} for x in range(n)]
-        return tuple(rkeys), tuple(lkeys)
-
-    @cached_property
-    def h_partition(self):
-        """Map from element to the tuple of its H-class members."""
-        rkeys, lkeys = self._green_keys
-        buckets = {}
-        for x in self.elements():
-            buckets.setdefault((rkeys[x], lkeys[x]), []).append(x)
-        return {x: tuple(members) for members in buckets.values() for x in members}
+    def orbits(self):
+        """(index, period, idempotent power) of each code x: the powers x,
+        x^2, ... first repeat at x^(index + period) == x^index, and the one
+        idempotent among them is x^m, m the multiple of the period in
+        [index, index + period).  x * x^k is row x at x^k, so each orbit is
+        walked once, along its own row."""
+        out = []
+        for x, row in enumerate(self.table):
+            seen = {}
+            p = x
+            while p not in seen:
+                seen[p] = len(seen)
+                p = row[p]
+            index, period = seen[p] + 1, len(seen) - seen[p]
+            out.append((index, period, list(seen)[-(-index // period) * period - 1]))
+        return tuple(out)
 
     @cached_property
     def subgroup_idempotent(self):
-        """Map from element to the idempotent of its H-class, for the
-        elements whose H-class is a subgroup; others are absent."""
-        idem = set(self.idempotent_codes)
-        out = {}
-        for x, members in self.h_partition.items():
-            for e in members:
-                if e in idem:
-                    out[x] = e
-                    break
-        return out
+        """Map from each code in a subgroup to that subgroup's identity.
+        x lies in a subgroup iff its index is 1: then <x> is a cyclic group,
+        and a group holds the powers of its members, among them x^(k+1) == x
+        for k the order of x.  The identity is x's idempotent power."""
+        return {x: e for x, (index, _, e) in enumerate(self.orbits) if index == 1}
+
+    @cached_property
+    def subgroups(self):
+        """Map from each idempotent to its maximal subgroup, in code order."""
+        out = {e: [] for e in self.idempotent_codes}
+        for x, e in self.subgroup_idempotent.items():
+            out[e].append(x)
+        return {e: tuple(members) for e, members in out.items()}
 
 
 def generators(t):
@@ -563,7 +566,8 @@ class Prefix:
 
 class _FinitePrefix(Prefix):
     """The exhausted case: ``codes``, ``idempotents``, ``center``,
-    ``central`` and the subgroup maps read off the table's structure."""
+    ``central`` and the subgroup maps read off the handle, the center from
+    the transpose of the table and the subgroups from its orbit table."""
 
     exact = central_exact = True
 
@@ -586,7 +590,7 @@ class _FinitePrefix(Prefix):
         return self.S.subgroup_idempotent.get(x)
 
     def subgroup(self, e):
-        return self.S.h_partition[e] if self.subgroup_idempotent(e) == e else ()
+        return self.S.subgroups.get(e, ())
 
 
 def bounded_view(S, budget=DEFAULT_BUDGET):
@@ -665,8 +669,13 @@ def natural_order(S, budget=DEFAULT_BUDGET):
     """Natural partial order on the idempotents the view finds."""
     found = idempotents(S, budget)
     elems, exact = tuple(found.elements), found.exact
-    rel = frozenset((x, y) for x in elems for y in elems
-                    if S.mul(x, y) == x and S.mul(y, x) == x)
+    if is_finite(S):
+        t = S.table
+        rel = frozenset((x, y) for x in elems for y in elems if t[x][y] == x == t[y][x])
+    else:
+        mul = S.mul
+        rel = frozenset((x, y) for x in elems for y in elems
+                        if mul(x, y) == x and mul(y, x) == x)
     return IdempotentPoset(elements=elems, _leq=rel, exact=exact)
 
 
@@ -720,24 +729,18 @@ class MonogenicData:
     exact: bool
 
 
-def _orbit(S, x, cap):
-    """The one orbit walk: the powers x, x^2, ... mapped to their exponents
-    in order, until a power recurs or ``cap`` are seen, with the index and
-    period of the cycle (None when the cap came first).  A finite handle
-    always recurs within ``S.size + 1`` powers."""
+def monogenic(S, x, budget=DEFAULT_BUDGET):
+    """The powers x, x^2, ... until one recurs or ``budget.steps`` are seen;
+    a finite handle always recurs within ``S.size + 1`` powers."""
+    cap = S.size + 1 if is_finite(S) else budget.steps
     seen = {}
     p = x
     for n in range(1, cap + 1):
         if p in seen:
-            return seen, seen[p], n - seen[p]
+            return MonogenicData(x, tuple(seen), seen[p], n - seen[p], exact=True)
         seen[p] = n
         p = S.mul(p, x)
-    return seen, None, None
-
-
-def monogenic(S, x, budget=DEFAULT_BUDGET):
-    seen, index, period = _orbit(S, x, S.size + 1 if is_finite(S) else budget.steps)
-    return MonogenicData(x, tuple(seen), index, period, exact=index is not None)
+    return MonogenicData(x, tuple(seen), None, None, exact=False)
 
 
 @dataclass(frozen=True)
@@ -759,10 +762,10 @@ class PowerProjection:
 def power_projection(S, x, budget=DEFAULT_BUDGET):
     if is_finite(S):
         # x^n lies in a subgroup exactly when n reaches the orbit's index
-        seen, index, _ = _orbit(S, x, S.size + 1)
-        entry = tuple(itertools.islice(seen, index))
-        return PowerProjection("defined", S.subgroup_idempotent[entry[-1]],
-                               index, entry)
+        index, _, e = S.orbits[x]
+        row = S.table[x]
+        entry = tuple(itertools.accumulate(range(1, index), lambda p, _: row[p], initial=x))
+        return PowerProjection("defined", e, index, entry)
     orbit = []
     p = x
     for _ in range(budget.steps):

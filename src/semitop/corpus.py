@@ -76,7 +76,7 @@ def _row(content, lineno, size):
     regex break on the same whitespace and both read tokens with ``int``,
     so the token path is taken only to locate and word the error."""
     try:
-        row = [int(t) for t in content.split()]
+        row = list(map(int, content.split()))
     except ValueError:
         row = None
     if row and len(row) == size and 0 <= min(row) and max(row) < size:

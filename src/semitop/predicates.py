@@ -33,7 +33,6 @@ from .core import (
     SAMPLE_SIZE,
     Budget,
     Prefix,
-    _orbit,
     bounded_view,
     carrier_prefix,
     natural_order,
@@ -293,11 +292,10 @@ def _power_limit(S, name, budget):
 
 
 def least_uniform_exponent(S):
-    """Smallest n making every x^n idempotent, from orbit indices/periods."""
-    codes = bounded_view(S).codes
-    orbits = [_orbit(S, x, len(codes) + 1) for x in codes]
-    lcm = math.lcm(*(period for _, _, period in orbits))
-    top = max(index for _, index, _ in orbits)
+    """Smallest n making every x^n idempotent on a finite handle: x^n is
+    idempotent iff n reaches x's index and is a multiple of its period."""
+    lcm = math.lcm(*(period for _, period, _ in S.orbits))
+    top = max(index for index, _, _ in S.orbits)
     return lcm * ((top + lcm - 1) // lcm)
 
 
@@ -349,8 +347,7 @@ def group_bounded(S, budget=DEFAULT_BUDGET):
     view = bounded_view(S, budget)
     if view.exact:
         # a subgroup member's orbit is its cycle, so its period is its order
-        exponent = math.lcm(*(_orbit(S, x, len(view.codes) + 1)[2]
-                              for x in view.subgroup_of))
+        exponent = math.lcm(*(period for index, period, _ in S.orbits if index == 1))
         return _settle(S, "group_bounded", view, HOLDS,
                        {"kind": "finite", "exponent": exponent})
     # unboundedness of a subgroup is not witnessable at a bound
@@ -457,11 +454,15 @@ def unipotent(S, budget=DEFAULT_BUDGET):
 
 
 def commutative(S, budget=DEFAULT_BUDGET):
-    """Every pair commutes; a stream checks at most ``steps`` pairs."""
+    """Every pair commutes; a stream checks at most ``steps`` pairs.  An
+    exact view scans only to name the first noncommuting pair in code
+    order: the least noncentral x, with the first code it does not commute
+    with, which lies above x since every code below x is central."""
     view = bounded_view(S, budget)
-    pairs = itertools.combinations(view.codes, 2)
-    if not view.exact:
-        pairs = itertools.islice(pairs, budget.steps)
+    if view.exact:
+        pairs = ((x, y) for x in view.codes if not view.central(x) for y in view.codes)
+    else:
+        pairs = itertools.islice(itertools.combinations(view.codes, 2), budget.steps)
     mul = S.mul
     pair = next(((x, y) for x, y in pairs if mul(x, y) != mul(y, x)), None)
     if pair is not None:

@@ -6,6 +6,7 @@ no code with the package.  Only usable at tiny sizes.
 """
 
 import itertools
+import math
 
 
 def is_associative(t):
@@ -114,6 +115,19 @@ def least_uniform_exponent(t, cap=100000):
         if all(t[pw(x, k)][pw(x, k)] == pw(x, k) for x in range(n)):
             return k
     raise AssertionError("no uniform exponent found below cap")
+
+
+def group_exponent(t):
+    """Least common multiple of the orders of the elements of every
+    maximal subgroup, each order found by multiplying up to the identity."""
+    out = 1
+    for e in idempotents(t):
+        for x in maximal_subgroup(t, e):
+            k, acc = 1, x
+            while acc != e:
+                k, acc = k + 1, t[acc][x]
+            out = out * k // math.gcd(out, k)
+    return out
 
 
 def greedy_chain(mul, pool, target, steps):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -9,6 +10,7 @@ from metering import capped
 
 from semitop.builders import (
     adjoin_identity,
+    cyclic_group,
     left_zero,
     natmin,
     standard_finite_corpus,
@@ -16,7 +18,7 @@ from semitop.builders import (
     zero_semigroup,
 )
 from semitop.classify import center_necessary_conditions, classify, implication_violations
-from semitop.core import Budget, build_finite, build_stream, direct_product
+from semitop.core import Budget, FiniteSemigroup, build_finite, build_stream, direct_product
 from semitop.corpus import enumerate_finite, relabeled_table
 from semitop.errors import BadParameter
 from semitop.predicates import FAILS, HOLDS, UNKNOWN, Verdict
@@ -169,18 +171,37 @@ def test_a_singular_prefix_refutes_nothing_without_a_declaration(budget):
         assert not report.theorems[kind].fails, kind
 
 
-def test_finite_classify_takes_commutativity_from_its_suite():
-    # the suite's exact verdict spares the center its table scan, and the
-    # center analysis agrees with the one that scans
+def test_finite_classify_takes_commutativity_from_its_suite(monkeypatch):
+    # one transposition of each table settles the suite's commutativity and
+    # the center analysis, which agrees with an analysis on its own
+    transposed = []
+    scan = FiniteSemigroup.center_codes.func
+    monkeypatch.setattr(FiniteSemigroup.center_codes, "func",
+                        lambda T: transposed.append(T) or scan(T))
     for name, S in standard_finite_corpus():
         fresh = build_finite([list(row) for row in S.table])
+        transposed.clear()
         center = classify(fresh, BUDGET, name=name).center
-        assert "commutative" not in vars(fresh), name
+        assert sum(T is fresh for T in transposed) == 1, name
+        assert len(set(map(id, transposed))) == len(transposed), name
         alone = center_necessary_conditions(S, BUDGET)
         assert (center.empty, center.center_finite, center.closed_necessary,
                 center.injective_necessary) == (
             alone.empty, alone.center_finite, alone.closed_necessary,
             alone.injective_necessary), name
+
+
+def test_finite_classify_stays_under_its_memory_ceiling():
+    # well under 0.1 MB; principal-ideal keys for every code, n frozensets
+    # of up to n codes on each side, took 9.1 MB here
+    S = cyclic_group(256)
+    tracemalloc.start()
+    try:
+        classify(S, BUDGET, name="cyclic:256")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak
 
 
 def test_t2s_holding_where_closedness_fails_is_flagged():
