@@ -222,13 +222,13 @@ def cmd_topology(args):
                          else "discrete (every sampled neighborhood is trivial)"))
 
     if args.out:
-        record = json.loads(json.dumps({
+        record = {
             "id": args.builder,
             "anchor": e,
             "kind": args.kind,
             "selection": selection,
             "certificate": cert.to_dict(),
-        }))
+        }
         doc = ReportDocument(
             config=_config(args, "topology", builder=args.builder,
                            kind=args.kind),
