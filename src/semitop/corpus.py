@@ -281,7 +281,13 @@ def _associative_tables(n, commutative_only, classes=False):
         # map and, cell by cell in row-major order, the cell of t it moves there
         ties = [(perm, [(a, b, inv[a], inv[b]) for a in range(n) for b in range(n)], 0)
                 for perm, inv in _relabelings(n)[1:]]
-    return fill(0, ties)
+    try:
+        yield from fill(0, ties)
+    finally:
+        # fill's closure holds fill: without this the walk's closures and
+        # partial table are freed only by a cyclic collection, also when
+        # the walk is closed early
+        del fill
 
 
 def relabeled_table(table, perm):

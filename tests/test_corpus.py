@@ -1,5 +1,6 @@
 """Parsing, enumeration, canonical forms, and report documents."""
 
+import gc
 import hashlib
 import itertools
 import re
@@ -297,3 +298,24 @@ def test_scan_orders_records_by_id():
     entries = [entry_from_builder(n) for n in ["zero:2", "cyclic:2", "flat:2"]]
     records = scan_corpus(entries, BUDGET)
     assert [r["id"] for r in records] == sorted(r["id"] for r in records)
+
+
+@pytest.mark.parametrize("stop", [None, 5])
+@pytest.mark.parametrize("walk", [enumerate_finite, enumerate_classes])
+def test_a_walk_frees_its_closures_without_a_collection(walk, stop):
+    # the backtracker's recursive closure refers to itself; a walk run to
+    # the end, or dropped after a few tables, must still free it at once
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        tables = walk(3)
+        for _ in itertools.islice(tables, stop):
+            pass
+        del tables
+        gc.collect()
+        left = [o for o in gc.garbage
+                if getattr(o, "__qualname__", "").startswith("_associative_tables.")]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert left == []
