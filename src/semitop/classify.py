@@ -1,10 +1,12 @@
 """Closedness classification built from the characterization rules.
 
 Each rule is a conjunction of predicate verdicts, valid as an equivalence
-only over commutative inputs.  Noncommutative inputs still get definite
-negatives through the center: failure of a necessary condition on the
-center subsemigroup refutes every closedness property downstream of it.
-Everything else stays Unknown rather than guessing.
+only over commutative inputs.  A finite input has every closedness
+property, whatever its center: its images are finite, so closed in every
+T1 space.  Noncommutative streams still get definite negatives through the
+center: failure of a necessary condition on the center subsemigroup
+refutes every closedness property downstream of it.  Everything else
+stays Unknown rather than guessing.
 """
 
 from __future__ import annotations
@@ -230,12 +232,18 @@ def classify(S, budget=DEFAULT_BUDGET, name=None):
     center = center_necessary_conditions(S, budget, suite=suite)
     notes = []
     theorems = {}
+    # every image of a finite semigroup is finite, and a finite set is
+    # closed in every T1 space: a table is absolutely T1S-closed, so it has
+    # every closedness property below that one too
+    finite_image = (Verdict(HOLDS, "finite", {"kind": "finite_image", "evidence": fin.witness},
+                            budget, note="every image of a finite semigroup is finite")
+                    if is_finite(S) else None)
 
     def rule(kind, criteria):
         if commutative.holds:
             theorems[kind] = _conjunction_verdict(suite, criteria, budget)
             return
-        blocked = _center_blocked(kind, center, budget)
+        blocked = finite_image or _center_blocked(kind, center, budget)
         if blocked is not None:
             theorems[kind] = blocked
             return
@@ -257,7 +265,7 @@ def classify(S, budget=DEFAULT_BUDGET, name=None):
                    "evidence": fin.witness}
         theorems["absolute_T1S"] = Verdict(status, fin.source, witness, budget)
     else:
-        blocked = _center_blocked("absolute_T1S", center, budget)
+        blocked = finite_image or _center_blocked("absolute_T1S", center, budget)
         theorems["absolute_T1S"] = blocked or Verdict(
             UNKNOWN, commutative.source,
             {"kind": "inapplicable", "commutative": commutative.status,

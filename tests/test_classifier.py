@@ -42,13 +42,16 @@ def test_finite_commutative_inputs_get_definite_positives():
             assert v.holds, (name, kind, v.status, v.witness)
 
 
-def test_noncommutative_finite_is_conservatively_unknown():
+def test_noncommutative_finite_holds_every_closedness_property():
+    # every image of a finite semigroup is finite, so closed in a T1 host
     for S in (left_zero(2), adjoin_identity(left_zero(2))):
         report = classify(S)
         assert report.commutative.fails
         for kind in THEOREM_KINDS:
             v = report.theorems[kind]
-            assert v.status == UNKNOWN and v.witness["kind"] == "inapplicable"
+            assert v.holds and v.source == "finite", kind
+            assert v.witness == {"kind": "finite_image",
+                                 "evidence": {"kind": "finite", "size": S.size}}, kind
 
 
 def test_chain_growth_refutes_closedness():

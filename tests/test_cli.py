@@ -260,7 +260,7 @@ FINITE_DIGESTS = {
     ("classify", "m3.cayley"): "656161ae91a68686d25c71780743ae4920b042f441aa2ab10f6574a7701f7bc5",
     ("classify", "cyclic:6"): "741e7b03e9c79614748d90bb945b211999fb9ad5eb812416a33f1be68dcf2019",
     ("classify", "zero:4"): "7f91ab79cbfbc2fd4c6c8b29ed37f4d72a233589a7232ae44ba86cb4dacc6a16",
-    ("classify", "leftzero:3"): "e701ec83ec7c4efce4eccdb2757318baa02dbc76071b67b8ff48461e760e16ab",
+    ("classify", "leftzero:3"): "b804616612977ec1484dfaf480e1820951db7ac5b451669abca3cd32a0b6c293",
     ("classify", "chain:4"): "21a8deae77e7264b3a4628891e0b64792b638874c147d25d5fb0cdf78b9af764",
     ("classify", "flat:7"): "09c02a7f6df5dc8d1c1ab49f4f6dc977906d5e60a2abf54333126431d335e03c",
     ("classify", "m3"): "932b4b0c592d2e6d4f8d5c844d009fcce9f3042d7f5faef5c11bf27e3552bb98",
@@ -276,13 +276,13 @@ FINITE_DIGESTS = {
     ("predicates", "m3"): "a46d02982fa70ceb6639334748e68a6da29ca740bb0b307b84d8a623af1b738a",
     ("predicates", "monogenic:3,2"): "9962f51ce9a2faa731fd3739a2ab992c1d6fa03162e6cc764ff242663c06500b",
     ("predicates", "groupunion:2,3"): "1a9ed9282eb31823604ef36d29570ab0056b4f5b403f5092483328a59f9d5ec9",
-    ("enumerate", "3"): "a8d50a857016f0bb3acd3912661a567cb82da94aac1e89658c2a6b69f3b7872d",
-    ("enumerate", "3 --dedupe-iso"): "041371321aa6646d859170ddbf847e267255ff1b70f92f6bb5d00116837a274a",
-    ("enumerate", "4"): "7c4da0f935d19034f2d08ac3e0811a7bce6a136b55d0582be8f64ef8be7c4e85",
-    ("enumerate", "4 --dedupe-iso"): "17dc2d40b478078b2e953eddf0a4d9765f32c12f2913acb69ddc102ff7fcf830",
+    ("enumerate", "3"): "c150a576074ec486c2983bf132beee5f8917f0a3ba2f33f5c6f65c0abc110dfc",
+    ("enumerate", "3 --dedupe-iso"): "3717dfe1e7833992066ac2d074fa00e5837e2b0170a5a3efb0e3c53055d93042",
+    ("enumerate", "4"): "1b9b7593b0e693a27457e668ed8090bc1d2beec07fa9d60e19b47945fe1af5c6",
+    ("enumerate", "4 --dedupe-iso"): "79313a33e96c558200998bb53c89923901007b332d7406c0f01e84b2972c3cac",
     ("enumerate", "4 --commutative-only"): "0c80249e7ac51f4913ada2b14c3044fa643679a2a8516d771a61a55855386d5f",
     ("enumerate", "4 --commutative-only --dedupe-iso"): "0e0d7f0418324adbe1744c4e591ca4c86785888cb137fd91e4af4305a907a7d6",
-    ("enumerate", "5"): "776a1de5a3511c81cfcea0ba0091d48556775ecaed0bf96a03810b4c8d4af950",
+    ("enumerate", "5"): "f8f0040dafbe9793ab703d4cb1217c21272f0eba2a19d9c9628fd5343b1f1244",
     ("enumerate", "5 --commutative-only"): "bfff1e602d624360c5d44901cd27b52b6a46812aebc23913bb35bbb65ee5212a",
     ("enumerate", "5 --commutative-only --dedupe-iso"): "c55d1850bd668371e496da24388c6f531ce680ff94f01ed985248e60796e67fb",
 }
