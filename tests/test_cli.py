@@ -252,6 +252,51 @@ def test_topology_at_256_4096_matches_the_golden_digests(capsys, tmp_path, build
         "--budget-steps", "4096", "--seed", "0") == TOPOLOGY_DIGESTS_256[builder, kind]
 
 
+# sha256 of stdout of `classify` and `predicates` on each of the seven
+# streams at the two budgets of the benchmark's stream runs, where the
+# searches read the deepest prefixes
+STREAM_DIGESTS = {
+    ("classify", "natmin", 256, 4096): "8ec9af88ca50ab9d53f49513f0e975304c90f0dfde97ea0dd1e3e2193e990e41",
+    ("classify", "natplus", 256, 4096): "3d390311bfab1b83e7c643167fa382759a5faaca9845e702a6a74b694cd54afe",
+    ("classify", "nullstream", 256, 4096): "43af9576bd31d91ab62db59823b6421b55ac02cfd960f3093eefd3c74f415d7e",
+    ("classify", "nilstream", 256, 4096): "203a914578973e6dd6147e531bd803e41e7465daee4fd42ed493030d68722677",
+    ("classify", "flat", 256, 4096): "54104cde36a73163f12545cebf0ec75e5ea21aa848300d3412bf35eb1b7808b1",
+    ("classify", "intadd", 256, 4096): "40338335f51f4ba01e8e3eb354b694170c6a0b761de2ff48df22bb0a981f8b78",
+    ("classify", "prodcenter", 256, 4096): "744d946dccacf8fae7e576d026ca098edfb196b01514a123aa20f62cab1bb4cb",
+    ("classify", "natmin", 1024, 16384): "d75e26843a5c5135514ef5b375018bcdb605865408b73ca5c6654c44674a7d35",
+    ("classify", "natplus", 1024, 16384): "c20d500dbd843bf867df0206590a785e5bcb34b17e0427ffba9e9c593b753d3f",
+    ("classify", "nullstream", 1024, 16384): "41d70638a5535ce15a33da5238999b9ab5a9b66a6abd40074ec9690294ae7bc6",
+    ("classify", "nilstream", 1024, 16384): "1999b8b3b19c08c04844e6079646dd83d7fad107d299bcccd644b64485c10287",
+    ("classify", "flat", 1024, 16384): "33eb8a660753dd431c793853bba333c833b598ba4951525e6d54776dea7109b6",
+    ("classify", "intadd", 1024, 16384): "08cabaa31e0e6a1acdbb2c23d5d22ba5c55a6d21ad40af2dfe818097854c87f8",
+    ("classify", "prodcenter", 1024, 16384): "f214200b7c9df1c0b15651188578f59601d8dab08d6683dd3bba13f530be4955",
+    ("predicates", "natmin", 256, 4096): "ad7ec79c308321d760cbb296375208a2578b82c6e229ff25788e456a09f5c498",
+    ("predicates", "natplus", 256, 4096): "e8072201c0706063fe70f04399326dc40da2a2311ccbbd9770e4dab58666fac2",
+    ("predicates", "nullstream", 256, 4096): "849dba6ba02eed191b591f9037adb0b223d456337ed7e3144c8d783bfeb26504",
+    ("predicates", "nilstream", 256, 4096): "ece29ae729ef35154d1a56008da366bac0e2e764b3aac385e2995a24904fcec5",
+    ("predicates", "flat", 256, 4096): "326424fc0ceb94c66b1c646ddeb3a0d6eebcc2b91206766c4d3c98b8f6723a34",
+    ("predicates", "intadd", 256, 4096): "673bd9b2766115749e83b6efea0d01ea418e497cb21dee644b8655ba2241cf79",
+    ("predicates", "prodcenter", 256, 4096): "8f3519505efe2ead97c49957a4df844cd900b2c2d7eb35e8f1515a8d33b342d6",
+    ("predicates", "natmin", 1024, 16384): "64be1b9266ba572b4889bc343ad18c51953e280810667477d91930333d017248",
+    ("predicates", "natplus", 1024, 16384): "ebb86d83c6dd34dcad659bf1577866bc6f88df43af027f671f00128220bd03c9",
+    ("predicates", "nullstream", 1024, 16384): "68d14a23df1f853c3b5c3c12fb2e8e4a3e9c5fd6aafbbfdd09fef467945b8962",
+    ("predicates", "nilstream", 1024, 16384): "6afb790acc9f6ac555cb26138633474e701de8c116f4a0f8661ab491174c2a15",
+    ("predicates", "flat", 1024, 16384): "6148e25fc5570bebea2cbf0235a02f74a14aea735300fd47798b957c755d65b6",
+    ("predicates", "intadd", 1024, 16384): "98c155277e3f0a1af93ca280407b42338be26ddf703d9a6dd40bfad1325c8ff1",
+    ("predicates", "prodcenter", 1024, 16384): "49654d21fefff0dc89cf20c9f0d3a841b60cfe77d5501afd358f24b69464c373",
+}
+
+
+@pytest.mark.parametrize("command,builder,elements,steps", sorted(STREAM_DIGESTS))
+def test_stream_reports_at_benchmark_budgets_match_the_golden_digests(
+        capsys, command, builder, elements, steps):
+    code, out, _ = run(capsys, command, "--builder", builder, "--budget-elems",
+                       str(elements), "--budget-steps", str(steps))
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == STREAM_DIGESTS[command, builder, elements, steps])
+
+
 # sha256 of stdout on finite inputs: the finite predicate paths must keep
 # their report bytes.  A target ending in .cayley names a fixture file; the
 # enumerate target is its argument list.
