@@ -14,14 +14,12 @@ from .core import (
     build_finite,
     build_stream,
     carrier,
-    carrier_prefix,
     center,
     central_idempotents,
     clifford_parts,
     direct_product,
     idempotents,
     is_finite,
-    monogenic,
     natural_order,
     power_projection,
     restrict,

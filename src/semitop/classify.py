@@ -11,7 +11,6 @@ stays Unknown rather than guessing.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -79,11 +78,12 @@ class ClassificationReport:
 
 
 def finiteness(S, budget=DEFAULT_BUDGET):
-    """Is the carrier finite?  Enumerator exhaustion certifies yes; infinite
-    streams declare no; otherwise Unknown at bound."""
+    """Is the carrier finite?  Exhaustion of the view's pool within
+    ``elements`` codes certifies yes; infinite streams declare no;
+    otherwise Unknown at bound."""
     if is_finite(S):
         return Verdict(HOLDS, "finite", {"kind": "finite", "size": S.size}, budget)
-    probe = list(itertools.islice(S.enumerate_carrier(), budget.elements + 1))
+    probe = bounded_view(S, budget).pool.first(budget.elements + 1)
     if len(probe) <= budget.elements:
         return Verdict(HOLDS, "search",
                        {"kind": "enumerator_exhausted", "size": len(probe)}, budget)
@@ -104,9 +104,10 @@ def center_subsemigroup(S, budget=DEFAULT_BUDGET):
 
     Commutative handles are their own center.  A finite handle restricts
     exactly; its center and commutativity come from one transposition of
-    the table, kept on the handle.  A stream filters its enumerator
-    through the view's pointwise centrality test, which is sound only at
-    bound; declared center facts ride along via ``center_facts``."""
+    the table, kept on the handle.  A stream probes the view's pool for a
+    central code, then filters its enumerator through the view's pointwise
+    centrality test, which is sound only at bound; declared center facts
+    ride along via ``center_facts``."""
     if is_finite(S):
         if S.commutative:
             return S, True
@@ -118,9 +119,9 @@ def center_subsemigroup(S, budget=DEFAULT_BUDGET):
     facts = S.declared_facts or {}
     if facts.get("commutative"):
         return S, False
-    central = bounded_view(S, budget).central
-    probe = itertools.islice(S.enumerate_carrier(), max(budget.elements, budget.steps))
-    if not any(central(z) for z in probe):
+    view = bounded_view(S, budget)
+    central = view.central
+    if not any(map(central, view.pool.walk(max(budget.elements, budget.steps)))):
         return None, False
 
     def gen():

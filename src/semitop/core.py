@@ -73,8 +73,8 @@ class CarrierSet:
 
     The enumerator may be infinite; ``exact`` promises that it ranges over
     precisely the members (so an exhausted enumerator certifies the set).
-    It is started once: the codes it has yielded are kept, and ``prefix``
-    and ``among_first`` advance it only past them.
+    It is started once: the codes it has yielded are kept, and ``first``,
+    ``walk``, ``prefix`` and ``among_first`` advance it only past them.
     """
 
     member: Callable[[int], bool]
@@ -105,6 +105,20 @@ class CarrierSet:
                 self._codes, self._live = [], self.enumerate_fn()
                 raise
         return len(codes) >= count
+
+    def first(self, limit):
+        """The first ``limit`` members, or all of them if there are fewer;
+        the enumeration advances no further."""
+        self._fill(limit)
+        return self._codes[:limit]
+
+    def walk(self, limit):
+        """The first ``limit`` members one at a time; the enumeration
+        advances only as far as the caller reads."""
+        at = 0
+        while at < limit and self._fill(at + 1):
+            yield self._codes[at]
+            at += 1
 
     def prefix(self, limit):
         """The first ``limit`` members, and whether they are all of them."""
@@ -371,12 +385,6 @@ def carrier(S):
     return iter(S.elements()) if is_finite(S) else S.enumerate_carrier()
 
 
-def carrier_prefix(S, limit):
-    """First ``limit`` carrier codes in enumeration order (all of them on a
-    finite handle, still capped at ``limit``)."""
-    return list(itertools.islice(carrier(S), limit))
-
-
 def power(S, x, n):
     """x^n for n >= 1 by square-and-multiply."""
     if n < 1:
@@ -403,10 +411,16 @@ SAMPLE_SIZE = 64
 class Prefix:
     """What a stream shows inside one budget, each fact computed once.
 
-    ``codes`` is the carrier prefix of ``budget.elements`` codes; the rest
-    derives from it on first use, so predicates, classifier and topology
-    share one enumeration, one center scan and one subgroup certificate.
-    Stream answers hold at the bound only (``exact`` is False).
+    ``pool`` is the one bounded reader of the stream's enumerator: a
+    ``CarrierSet`` over the carrier that keeps the codes it has read and
+    reads on only as far as its deepest reader asks.  ``codes`` is its
+    first ``budget.elements`` codes; the predicates' searches and the
+    classifier's finiteness and center probes (at most
+    ``max(elements, steps) + 1`` codes), the left quotients' scans and the
+    certificates' ground take theirs from it too.  The rest derives from
+    ``codes`` on first use, so predicates, classifier and topology share
+    one enumeration, one center scan and one subgroup certificate.  Stream
+    answers hold at the bound only (``exact`` is False).
 
     A stream keeps its views, so a view keeps only what it uses of the
     stream, never the handle: a dropped handle frees its views at once,
@@ -416,12 +430,13 @@ class Prefix:
 
     def __init__(self, S, budget=DEFAULT_BUDGET):
         self.mul, self.budget = S.mul, budget
-        self._enumerate, self._declared = S.enumerate_carrier, S.declared_facts
+        # membership in a stream's carrier is not decided
+        self.pool, self._declared = CarrierSet(None, S.enumerate_carrier), S.declared_facts
         self._central, self._subgroup = {}, {}
 
     @cached_property
     def codes(self):
-        return tuple(itertools.islice(self._enumerate(), self.budget.elements))
+        return tuple(self.pool.first(self.budget.elements))
 
     @cached_property
     def idempotents(self):
@@ -567,7 +582,8 @@ class Prefix:
 class _FinitePrefix(Prefix):
     """The exhausted case: ``codes``, ``idempotents``, ``center``,
     ``central`` and the subgroup maps read off the handle, the center from
-    the transpose of the table and the subgroups from its orbit table."""
+    the transpose of the table and the subgroups from its orbit table.
+    ``pool`` ranges over the codes 0..n-1."""
 
     exact = central_exact = True
 
@@ -578,6 +594,10 @@ class _FinitePrefix(Prefix):
     idempotents = property(lambda self: self.S.idempotent_codes)
     center = property(lambda self: self.S.center_codes)
     subgroup_of = property(lambda self: self.S.subgroup_idempotent)
+
+    @cached_property
+    def pool(self):
+        return CarrierSet.of(self.codes)
 
     @cached_property
     def _center_set(self):
@@ -713,35 +733,7 @@ def clifford_parts(S, budget=DEFAULT_BUDGET):
 
 
 # ---------------------------------------------------------------------------
-# powers: orbits and projection to idempotents
-
-@dataclass(frozen=True)
-class MonogenicData:
-    """Orbit of one generator: powers x^1, x^2, ... with eventual cycle.
-
-    ``index`` is the least i whose power recurs, ``period`` the cycle
-    length; both None when the walk hit the step budget first (streams)."""
-
-    base: int
-    powers: tuple
-    index: Optional[int]
-    period: Optional[int]
-    exact: bool
-
-
-def monogenic(S, x, budget=DEFAULT_BUDGET):
-    """The powers x, x^2, ... until one recurs or ``budget.steps`` are seen;
-    a finite handle always recurs within ``S.size + 1`` powers."""
-    cap = S.size + 1 if is_finite(S) else budget.steps
-    seen = {}
-    p = x
-    for n in range(1, cap + 1):
-        if p in seen:
-            return MonogenicData(x, tuple(seen), seen[p], n - seen[p], exact=True)
-        seen[p] = n
-        p = S.mul(p, x)
-    return MonogenicData(x, tuple(seen), None, None, exact=False)
-
+# powers: projection to idempotents
 
 @dataclass(frozen=True)
 class PowerProjection:
@@ -756,16 +748,13 @@ class PowerProjection:
     status: str  # "defined" | "undefined_at_bound"
     idempotent: Optional[int]
     exponent: Optional[int]
-    orbit: tuple
 
 
 def power_projection(S, x, budget=DEFAULT_BUDGET):
     if is_finite(S):
         # x^n lies in a subgroup exactly when n reaches the orbit's index
         index, _, e = S.orbits[x]
-        row = S.table[x]
-        entry = tuple(itertools.accumulate(range(1, index), lambda p, _: row[p], initial=x))
-        return PowerProjection("defined", e, index, entry)
+        return PowerProjection("defined", e, index)
     orbit = []
     p = x
     for _ in range(budget.steps):
@@ -776,9 +765,9 @@ def power_projection(S, x, budget=DEFAULT_BUDGET):
             # m = len(orbit) always qualifies since e*e == e
             for m, q in enumerate(orbit, start=1):
                 if S.mul(e, q) == q and S.mul(q, e) == q:
-                    return PowerProjection("defined", e, m, tuple(orbit))
+                    return PowerProjection("defined", e, m)
         p = S.mul(p, x)
-    return PowerProjection("undefined_at_bound", None, None, tuple(orbit))
+    return PowerProjection("undefined_at_bound", None, None)
 
 
 # ---------------------------------------------------------------------------

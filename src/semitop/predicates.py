@@ -11,7 +11,10 @@ search residue attached.
 
 Budget convention for the searches here: ``elements`` caps enumerated
 prefixes and witness sizes, ``steps`` caps examined candidates in greedy
-growth and exponent steps in orbit walks.  Growing a witness of k codes
+growth and exponent steps in orbit walks.  The chain and singular searches
+scan the first ``max(elements, steps)`` codes of the view's ``pool``, which
+reads the stream's enumerator once for every reader of the view.  Growing
+a witness of k codes
 costs the chain search O(k log k) products when the witness is a chain in
 the natural order, plus a full scan of the witness for each accepted pair
 the order cannot compare; the singular searches check every pair, O(k^2).
@@ -34,7 +37,6 @@ from .core import (
     Budget,
     Prefix,
     bounded_view,
-    carrier_prefix,
     natural_order,
     power,
 )
@@ -133,8 +135,9 @@ def _settle(S, name, view, status, witness, evidence=True):
 def _chain_search(S, budget):
     """Grow a set whose pairwise products (diagonal included) stay inside
     the pair, restarting from each seed until the candidate budget runs out.
-    The candidate pool is deeper than the target so sparse chains are still
-    reached.  Returns (witness elements or None, best length seen).
+    The candidates, the view's first ``max(elements, steps)`` codes, run
+    deeper than the target so sparse chains are still reached.  Returns
+    (witness elements or None, best length seen).
 
     Such a set is made of idempotents, each pair comparable in the natural
     order (e <= f iff ef = fe = e) or a left- or right-zero pair.  Members
@@ -146,7 +149,7 @@ def _chain_search(S, budget):
     O(k log k) products on a chain in the natural order plus a full scan
     per incomparable accepted pair.  ``replay`` still checks every pair."""
     mul = S.mul
-    pool = carrier_prefix(S, max(budget.elements, budget.steps))
+    pool = bounded_view(S, budget).pool.first(max(budget.elements, budget.steps))
     target = budget.elements
     examined = 0
     best = 0
@@ -199,7 +202,7 @@ def _singular_search(S, budget):
     to one fixed constant (the seed's square).  Returns (elements, constant,
     length) or (None, None, best length)."""
     mul = S.mul
-    pool = carrier_prefix(S, max(budget.elements, budget.steps))
+    pool = bounded_view(S, budget).pool.first(max(budget.elements, budget.steps))
     target = min(budget.elements, SAMPLE_SIZE)
     examined = 0
     best = 0

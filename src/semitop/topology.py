@@ -26,7 +26,6 @@ from .core import (
     CarrierSet,
     bounded_view,
     carrier,
-    carrier_prefix,
     central_idempotents,
     is_finite,
     power,
@@ -68,10 +67,10 @@ def left_quotient(S, b, e, budget=DEFAULT_BUDGET):
         return CarrierSet.of(x for x in S.elements() if S.mul(x, e) == b)
     if S.division_oracle is not None:
         return S.division_oracle(b, e)
-    scan = max(budget.elements, budget.steps)
+    view, scan = bounded_view(S, budget), max(budget.elements, budget.steps)
 
     def gen():
-        return (x for x in itertools.islice(carrier(S), scan) if S.mul(x, e) == b)
+        return (x for x in view.pool.walk(scan) if S.mul(x, e) == b)
 
     return CarrierSet(lambda x: S.mul(x, e) == b, gen, exact=False)
 
@@ -554,7 +553,7 @@ def certify_topology(S, e, base, sample=None, budget=DEFAULT_BUDGET, seed=0):
                                config={"sample": sample.as_dict(),
                                        "budget": budget.as_dict(),
                                        "seed": seed})
-    ground = carrier_prefix(S, sample.ground)
+    ground = base.view.pool.first(sample.ground)
     plist = base.sample_params(rng, sample.neighborhoods, sample.max_f)
 
     # T0: each sampled pair must be split by a basic neighborhood
@@ -687,7 +686,7 @@ def replay_certificate(S, base, cert):
     for rec in cert.nonisolation:
         params = _params_from_desc(rec["params"])
         nbe = base.neighborhood(e, params)
-        ground = carrier_prefix(S, rec["ground"])
+        ground = base.view.pool.first(rec["ground"])
         met = sum(1 for g in ground if g != e and nbe.contains(g, 64))
         if met != rec["met"]:
             raise CertificationFailed("replay-nonisolation", rec)

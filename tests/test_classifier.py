@@ -1,5 +1,6 @@
 """Classification rules, center propagation, and implication consistency."""
 
+import dataclasses
 import itertools
 import random
 import tracemalloc
@@ -160,6 +161,26 @@ def test_singular_evidence_keeps_null_classification_under_its_ceiling():
                           name=name)
         evidence = report.suite["nonsingular"].witness["evidence"]
         assert len(evidence["elements"]) == 64, name
+
+
+@pytest.mark.parametrize("budget", [Budget(64, 64), Budget(256, 4096), Budget(1024, 16384)])
+@pytest.mark.parametrize("name", sorted(set(STREAMS) - {"prodcenter"}))
+def test_classify_reads_each_carrier_code_once(name, budget):
+    # the view's pool is the one reader of the enumerator: its deepest
+    # readers are the chain and singular searches (max(elements, steps)
+    # codes) and finiteness (elements + 1), and no code is read twice.
+    # Separate reads took 8,962 codes at 256/4096 and 35,842 at
+    # 1024/16384.  prodcenter's center handle still filters the carrier
+    # afresh, so it is left out.
+    base, read = STREAMS[name], [0]
+
+    def enumerate_carrier():
+        for x in base.enumerate_carrier():
+            read[0] += 1
+            yield x
+
+    classify(dataclasses.replace(base, enumerate_carrier=enumerate_carrier), budget, name=name)
+    assert read[0] == max(budget.steps, budget.elements + 1)
 
 
 @pytest.mark.parametrize("budget", [Budget(64, 1024), Budget(1024, 16384)])

@@ -39,13 +39,12 @@ from semitop.core import (
     bounded_view,
     build_finite,
     build_stream,
-    carrier_prefix,
+    carrier,
     center,
     clifford_parts,
     direct_product,
     generators,
     idempotents,
-    monogenic,
     natural_order,
     power,
     power_projection,
@@ -277,6 +276,23 @@ def test_among_first_enumerates_only_as_far_as_its_answer():
     assert s.among_first(9, 10) and not s.among_first(10, 10) and len(pulled) == 10
 
 
+def test_first_and_walk_read_no_further_than_asked():
+    pulled = []
+
+    def counter():
+        for x in itertools.count():
+            pulled.append(x)
+            yield x
+
+    s = CarrierSet(lambda x: True, counter)
+    assert s.first(3) == [0, 1, 2] and len(pulled) == 3
+    walk = s.walk(10)
+    assert [next(walk) for _ in range(5)] == [0, 1, 2, 3, 4] and len(pulled) == 5
+    assert list(walk) == [5, 6, 7, 8, 9] and len(pulled) == 10
+    dry = CarrierSet(lambda x: True, lambda: iter((5, 3, 8)))
+    assert list(dry.walk(10)) == dry.first(10) == [5, 3, 8]
+
+
 def test_carrier_set_restarts_an_enumerator_that_raised():
     # a raise must not read as the end of the set
     raised = []
@@ -364,7 +380,7 @@ def test_central_on_window_generators_matches_the_whole_window(make, budget):
     S = make()
     view = bounded_view(S, budget)
     window = view.codes[:SAMPLE_SIZE]
-    for x in carrier_prefix(S, 3000):
+    for x in itertools.islice(carrier(S), 3000):
         assert view.central(x) == all(S.mul(x, w) == S.mul(w, x) for w in window), x
 
 
@@ -519,14 +535,6 @@ def test_stream_clifford_parts_stay_under_their_multiplication_ceiling():
         clifford_parts(S, Budget(256, 4096))
 
 
-def test_monogenic_index_and_period():
-    S = monogenic_builder(3, 2)
-    data = monogenic(S, 0)  # the generator x
-    assert data.exact
-    assert (data.index, data.period) == (3, 2)
-    assert len(set(data.powers)) == 4
-
-
 def test_power_projection_on_m3():
     S = m3()
     proj = power_projection(S, 1)  # the generator a, with a*a = 0
@@ -575,6 +583,8 @@ def test_stream_h_class_is_flagged_inexact():
     assert 3 in view.subgroup(3)
 
 
-def test_carrier_prefix_stops_at_finite_size():
-    assert carrier_prefix(m3(), 100) == [0, 1, 2]
-    assert len(carrier_prefix(natmin(), 100)) == 100
+def test_view_pool_stops_at_finite_size():
+    assert bounded_view(m3()).pool.first(100) == [0, 1, 2]
+    assert len(bounded_view(natmin()).pool.first(100)) == 100
+    dry = build_stream("min3", min, lambda: iter(range(3)))
+    assert bounded_view(dry).pool.first(100) == [0, 1, 2]
