@@ -13,7 +13,6 @@ from .core import (
     adjoin_zero,
     build_finite,
     build_stream,
-    carrier,
     center,
     central_idempotents,
     clifford_parts,

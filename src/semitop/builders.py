@@ -194,14 +194,13 @@ def flat_stream():
         # {x : x*e == b} in closed form
         if e == 0:
             if b == 0:
-                return CarrierSet(lambda x: True, _count_from(0), exact=True)
+                return CarrierSet(lambda x: True, _count_from(0))
             return CarrierSet.of(())
         if b == e:
             return CarrierSet.of((e,))
         if b == 0:
             return CarrierSet(lambda x: x != e,
-                              lambda: (x for x in itertools.count(0) if x != e),
-                              exact=True)
+                              lambda: (x for x in itertools.count(0) if x != e))
         return CarrierSet.of(())
 
     facts = {

@@ -104,10 +104,10 @@ def center_subsemigroup(S, budget=DEFAULT_BUDGET):
 
     Commutative handles are their own center.  A finite handle restricts
     exactly; its center and commutativity come from one transposition of
-    the table, kept on the handle.  A stream probes the view's pool for a
-    central code, then filters its enumerator through the view's pointwise
-    centrality test, which is sound only at bound; declared center facts
-    ride along via ``center_facts``."""
+    the table, kept on the handle.  A stream's handle enumerates the codes
+    among the first ``depth`` of the view's pool that pass the view's
+    pointwise centrality test, which is sound only at bound; declared
+    center facts ride along via ``center_facts``."""
     if is_finite(S):
         if S.commutative:
             return S, True
@@ -120,16 +120,11 @@ def center_subsemigroup(S, budget=DEFAULT_BUDGET):
     if facts.get("commutative"):
         return S, False
     view = bounded_view(S, budget)
-    central = view.central
-    if not any(map(central, view.pool.walk(max(budget.elements, budget.steps)))):
+    codes = view.pool.where(view.central, view.depth)
+    if not codes.first(1):
         return None, False
-
-    def gen():
-        return (z for z in S.enumerate_carrier() if central(z))
-
-    handle = build_stream(f"center({S.name})", S.mul_fn, gen, S.label_fn,
-                          declared_facts=S.center_facts or {})
-    return handle, False
+    return build_stream(f"center({S.name})", S.mul_fn, lambda: codes.walk(view.depth),
+                        S.label_fn, declared_facts=S.center_facts or {}), False
 
 
 def _pick_source(verdicts, status):
@@ -190,9 +185,9 @@ def center_necessary_conditions(S, budget=DEFAULT_BUDGET, suite=None):
     it forces for the whole semigroup.  ``suite`` lets a caller share an
     already computed suite when the center is the whole carrier."""
     handle, exact = center_subsemigroup(S, budget)
+    # on a stream, an infinite center may start past the probe, or go on past it
+    scanned = max(budget.elements, budget.steps)
     if handle is None:
-        # on a stream, an infinite center may start past the probe
-        scanned = max(budget.elements, budget.steps)
         cfin = (Verdict(HOLDS, "finite", {"kind": "empty_center"}, budget) if exact
                 else Verdict(UNKNOWN, "search",
                              {"kind": "center_probe_empty", "scanned": scanned}, budget))
@@ -207,6 +202,9 @@ def center_necessary_conditions(S, budget=DEFAULT_BUDGET, suite=None):
                        steps=min(2048, budget.steps))
         csuite = evaluate_suite(handle, small)
         cfin = finiteness(handle, small)
+        if cfin.holds and not (exact or bounded_view(S, budget).pool.dry):
+            cfin = Verdict(UNKNOWN, "search",
+                           {"kind": "center_probe_capped", "scanned": scanned}, budget)
         declared = _facts(S)
         if cfin.status == UNKNOWN and "center_finite" in declared:
             value = bool(declared["center_finite"])

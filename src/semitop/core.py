@@ -71,32 +71,46 @@ class BoundedSet:
 class CarrierSet:
     """A lazily described subset: membership predicate plus enumerator.
 
-    The enumerator may be infinite; ``exact`` promises that it ranges over
-    precisely the members (so an exhausted enumerator certifies the set).
-    It is started once: the codes it has yielded are kept, and ``first``,
-    ``walk``, ``prefix`` and ``among_first`` advance it only past them.
+    The enumerator may be infinite.  It is started once: the codes it has
+    yielded are kept, and ``first``, ``walk``, ``prefix`` and
+    ``among_first`` advance it only past them.  ``over`` is (source, depth)
+    when it reads the first ``depth`` codes of another set, as ``where``
+    does; a scan that stops at ``depth`` is never exhaustion.
     """
 
     member: Callable[[int], bool]
     enumerate_fn: Callable[[], Iterator[int]]
-    exact: bool = True
+    over: Optional[tuple] = field(default=None, repr=False, compare=False)
     _codes: list = field(default_factory=list, init=False, repr=False, compare=False)
     _live: Iterator[int] = field(init=False, repr=False, compare=False)
+    _ended: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._live = self.enumerate_fn()
 
     @classmethod
     def of(cls, members):
-        """The exact finite set of ``members``, enumerated in the order given."""
+        """The exact finite set of ``members`` in the order given, read in full."""
         members = tuple(members)
-        return cls(frozenset(members).__contains__, lambda: iter(members))
+        out = cls(frozenset(members).__contains__, lambda: iter(members))
+        out._fill(len(members) + 1)
+        return out
+
+    def where(self, pred, limit):
+        """The members among this set's first ``limit`` that pass ``pred``."""
+        return CarrierSet(pred, lambda: filter(pred, self.walk(limit)), (self, limit))
+
+    @property
+    def dry(self):
+        """Whether every member has been read, by the codes read so far."""
+        source, depth = self.over or (None, 0)
+        return self._ended and (source is None or len(source._codes) <= depth and source.dry)
 
     def _fill(self, count):
         """Keep the first ``count`` members, or all of them if there are
         fewer; whether there are ``count``."""
         codes = self._codes
-        if len(codes) < count:
+        if len(codes) < count and not self._ended:
             try:
                 codes.extend(itertools.islice(self._live, count - len(codes)))
             except BaseException:
@@ -104,6 +118,7 @@ class CarrierSet:
                 # the next call starts afresh rather than read it as the end
                 self._codes, self._live = [], self.enumerate_fn()
                 raise
+            self._ended = len(codes) < count
         return len(codes) >= count
 
     def first(self, limit):
@@ -122,8 +137,8 @@ class CarrierSet:
 
     def prefix(self, limit):
         """The first ``limit`` members, and whether they are all of them."""
-        exhausted = not self._fill(limit + 1)
-        return self._codes[:limit], exhausted
+        ended = not self._fill(limit + 1)
+        return self._codes[:limit], ended and self.dry
 
     def among_first(self, y, limit):
         """Whether y is one of the first ``limit`` members; the enumeration
@@ -379,12 +394,6 @@ def label_of(S, x):
     return S.label_fn(x)
 
 
-def carrier(S):
-    """A fresh iterator over every carrier code in enumeration order: the
-    codes 0..n-1 of a finite handle, the endless enumerator of a stream."""
-    return iter(S.elements()) if is_finite(S) else S.enumerate_carrier()
-
-
 def power(S, x, n):
     """x^n for n >= 1 by square-and-multiply."""
     if n < 1:
@@ -414,10 +423,10 @@ class Prefix:
     ``pool`` is the one bounded reader of the stream's enumerator: a
     ``CarrierSet`` over the carrier that keeps the codes it has read and
     reads on only as far as its deepest reader asks.  ``codes`` is its
-    first ``budget.elements`` codes; the predicates' searches and the
-    classifier's finiteness and center probes (at most
-    ``max(elements, steps) + 1`` codes), the left quotients' scans and the
-    certificates' ground take theirs from it too.  The rest derives from
+    first ``budget.elements`` codes.  Finiteness reads ``elements + 1``,
+    every other scan at most ``depth``, ``max(elements, steps)``: the
+    predicates' searches, and through ``pool.where`` the center handle and
+    the left quotients and basic sets of a topology.  The rest derives from
     ``codes`` on first use, so predicates, classifier and topology share
     one enumeration, one center scan and one subgroup certificate.  Stream
     answers hold at the bound only (``exact`` is False).
@@ -429,7 +438,7 @@ class Prefix:
     exact = False
 
     def __init__(self, S, budget=DEFAULT_BUDGET):
-        self.mul, self.budget = S.mul, budget
+        self.mul, self.budget, self.depth = S.mul, budget, max(budget.elements, budget.steps)
         # membership in a stream's carrier is not decided
         self.pool, self._declared = CarrierSet(None, S.enumerate_carrier), S.declared_facts
         self._central, self._subgroup = {}, {}
@@ -583,7 +592,7 @@ class _FinitePrefix(Prefix):
     """The exhausted case: ``codes``, ``idempotents``, ``center``,
     ``central`` and the subgroup maps read off the handle, the center from
     the transpose of the table and the subgroups from its orbit table.
-    ``pool`` ranges over the codes 0..n-1."""
+    ``pool`` ranges over the codes 0..n-1, and ``depth`` takes them all."""
 
     exact = central_exact = True
 
@@ -591,6 +600,7 @@ class _FinitePrefix(Prefix):
         self.S, self.mul, self.budget = S, S.mul, budget
 
     codes = property(lambda self: self.S.elements())
+    depth = property(lambda self: self.S.size)
     idempotents = property(lambda self: self.S.idempotent_codes)
     center = property(lambda self: self.S.center_codes)
     subgroup_of = property(lambda self: self.S.subgroup_idempotent)

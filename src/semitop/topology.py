@@ -25,7 +25,6 @@ from .core import (
     DEFAULT_BUDGET,
     CarrierSet,
     bounded_view,
-    carrier,
     central_idempotents,
     is_finite,
     power,
@@ -59,20 +58,16 @@ def left_quotient(S, b, e, budget=DEFAULT_BUDGET):
 
     Membership is always decided exactly; what varies is the enumerator.
     Finite handles and oracle-backed streams enumerate the whole set.
-    Other streams scan a bounded carrier prefix, and the result is marked
-    inexact."""
+    Other streams filter the view's pool to its ``depth``, so their prefix
+    is complete only if the carrier ran dry inside it."""
     if S.mul(e, e) != e:
         raise NotIdempotent(f"{e} is not idempotent")
     if is_finite(S):
         return CarrierSet.of(x for x in S.elements() if S.mul(x, e) == b)
     if S.division_oracle is not None:
         return S.division_oracle(b, e)
-    view, scan = bounded_view(S, budget), max(budget.elements, budget.steps)
-
-    def gen():
-        return (x for x in view.pool.walk(scan) if S.mul(x, e) == b)
-
-    return CarrierSet(lambda x: S.mul(x, e) == b, gen, exact=False)
+    view = bounded_view(S, budget)
+    return view.pool.where(lambda x: S.mul(x, e) == b, view.depth)
 
 
 class _ProductScan:
@@ -207,7 +202,7 @@ class EBase:
     required there, matching the asymmetry of the three definitions).
 
     A base carries its whole context: the handle ``S``, the anchor ``e``
-    (a code of the table on a finite handle), the ``kind`` and the
+    (one of the codes of ``view``), the ``kind`` and the
     ``budget``, so ``is_regular`` reads them from it.  Centrality, subgroup
     membership and the central idempotents come from the handle's bounded
     view at the base's budget (``view``), so every base and certificate on
@@ -223,15 +218,16 @@ class EBase:
     def __init__(self, S, e, kind="E", budget=DEFAULT_BUDGET):
         if kind not in ("E", "H", "Z"):
             raise BadParameter(f"unknown base kind {kind!r}")
-        if is_finite(S) and not 0 <= e < S.size:
-            raise BadParameter(f"anchor {e} outside 0..{S.size - 1}")
+        self.view = view = bounded_view(S, budget)
+        if e not in view.codes:
+            span = f"0..{S.size - 1}" if is_finite(S) else f"the first {len(view.codes)} codes"
+            raise BadParameter(f"anchor {e} outside {span}")
         if S.mul(e, e) != e:
             raise NotIdempotent(f"{e} is not idempotent")
         self.S = S
         self.e = e
         self.kind = kind
         self.budget = budget
-        self.view = bounded_view(S, budget)
         if not self.view.central(e):
             raise BadParameter(f"{e} is not central (at bound)")
         self._memo_members = {}
@@ -306,16 +302,18 @@ class EBase:
     # -- membership machinery
 
     def member(self, params):
-        """The instantiated basic set as a lazy CarrierSet.  Its tests close
-        over the handle, anchor and view, not over the base, and kind Z's
-        test reaches its own set by a weak reference, so no member is in a
+        """The instantiated basic set as a lazy CarrierSet read off the first
+        ``view.depth`` codes of the view's pool: kinds E and H filter them,
+        kind Z takes powers of those it filters.  Its tests close over the
+        handle, anchor and view, not over the base, and kind Z's test
+        reaches its own set by a weak reference, so no member is in a
         reference cycle: a dropped base frees its members, and the tables
         they reach, at once."""
         params = self.normalize(params)
         if params in self._memo_members:
             return self._memo_members[params]
         S, e, view, budget = self.S, self.e, self.view, self.budget
-        central = view.central
+        central, depth = view.central, view.depth
 
         def in_quotient(x):
             return S.mul(x, e) == e
@@ -330,8 +328,7 @@ class EBase:
                 return (in_quotient(x) and S.mul(x, x) == x
                         and central(x) and not above_some(F, x))
 
-            out = CarrierSet(pred, lambda: filter(pred, carrier(S)),
-                             exact=view.central_exact)
+            out = view.pool.where(pred, depth)
         elif self.kind == "H":
             F = params
 
@@ -341,8 +338,7 @@ class EBase:
                 f = view.subgroup_idempotent(x)
                 return f is not None and not above_some(F, f)
 
-            out = CarrierSet(pred, lambda: filter(pred, carrier(S)),
-                             exact=view.exact)
+            out = view.pool.where(pred, depth)
         else:
             n, F = params
 
@@ -355,14 +351,14 @@ class EBase:
 
             def gen():
                 seen = set()
-                for z in filter(qualifies, carrier(S)):
+                for z in filter(qualifies, view.pool.walk(depth)):
                     y = power(S, z, n)
                     if y not in seen:
                         seen.add(y)
                         yield y
 
             # members are the first budget.elements values gen() yields
-            out = CarrierSet(None, gen, exact=view.exact)
+            out = CarrierSet(None, gen, (view.pool, depth))
             own = weakref.ref(out)
             out.member = lambda y: own().among_first(y, budget.elements)
         self._memo_members[params] = out

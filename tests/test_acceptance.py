@@ -12,7 +12,7 @@ import lemma_suite
 from semitop import cli
 from semitop.builders import natplus, nullstream, flat_stream, natmin, standard_finite_corpus
 from semitop.classify import classify, implication_violations
-from semitop.core import Budget, bounded_view, power_projection, carrier
+from semitop.core import Budget, bounded_view, power_projection
 from semitop.corpus import (
     COMMUTATIVE_LABELED_COUNTS,
     LABELED_COUNTS,
@@ -136,7 +136,7 @@ def test_negative_classifications_replay():
         problems.append("natplus periodic")
     elif not replay(P, "periodic", per):
         problems.append("natplus replay")
-    x = next(carrier(P))
+    x = next(P.enumerate_carrier())
     proj = power_projection(P, x, Budget(64, 64))
     if proj.status != "undefined_at_bound":
         problems.append("natplus projection")

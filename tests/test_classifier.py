@@ -164,14 +164,13 @@ def test_singular_evidence_keeps_null_classification_under_its_ceiling():
 
 
 @pytest.mark.parametrize("budget", [Budget(64, 64), Budget(256, 4096), Budget(1024, 16384)])
-@pytest.mark.parametrize("name", sorted(set(STREAMS) - {"prodcenter"}))
+@pytest.mark.parametrize("name", sorted(STREAMS))
 def test_classify_reads_each_carrier_code_once(name, budget):
     # the view's pool is the one reader of the enumerator: its deepest
-    # readers are the chain and singular searches (max(elements, steps)
-    # codes) and finiteness (elements + 1), and no code is read twice.
-    # Separate reads took 8,962 codes at 256/4096 and 35,842 at
-    # 1024/16384.  prodcenter's center handle still filters the carrier
-    # afresh, so it is left out.
+    # readers are the chain and singular searches and the center handle
+    # (max(elements, steps) codes) and finiteness (elements + 1), and no
+    # code is read twice.  Separate reads took 8,962 codes at 256/4096 and
+    # 35,842 at 1024/16384.
     base, read = STREAMS[name], [0]
 
     def enumerate_carrier():

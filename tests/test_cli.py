@@ -161,13 +161,19 @@ def test_topology_needs_a_viable_anchor(capsys):
     assert code == 3 and "not found" in err
 
 
-@pytest.mark.parametrize("anchor", ["7", "-1"])
-def test_topology_rejects_an_anchor_outside_the_table(capsys, anchor):
-    # --e takes any int; a table is indexed by codes 0..n-1 only
-    code, out, err = run(capsys, "topology", "--builder", "chain:3",
-                         "--e", anchor)
+@pytest.mark.parametrize("builder,anchor,span", [
+    pytest.param("chain:3", "7", "0..2", id="7"),
+    pytest.param("chain:3", "-1", "0..2", id="-1"),
+    # -1 is a natmin idempotent, but no code of its carrier
+    pytest.param("natmin", "-1", "the first 64 codes", id="natmin-1"),
+])
+def test_topology_rejects_an_anchor_outside_the_table(capsys, builder, anchor, span):
+    # --e takes any int; a table is indexed by codes 0..n-1 only, and a
+    # stream anchor must be among the codes of the view
+    code, out, err = run(capsys, "topology", "--builder", builder,
+                         "--e", anchor, "--budget", "64")
     assert code == 1 and out == ""
-    assert err == f"error: anchor {anchor} outside 0..2\n"
+    assert err == f"error: anchor {anchor} outside {span}\n"
 
 
 def test_topology_on_a_group_is_discrete(capsys):

@@ -39,7 +39,6 @@ from semitop.core import (
     bounded_view,
     build_finite,
     build_stream,
-    carrier,
     center,
     clifford_parts,
     direct_product,
@@ -293,6 +292,36 @@ def test_first_and_walk_read_no_further_than_asked():
     assert list(dry.walk(10)) == dry.first(10) == [5, 3, 8]
 
 
+def test_where_is_exhausted_only_when_its_source_ran_dry_inside_the_limit():
+    pulled = []
+
+    def source(n):
+        def gen():
+            for x in range(n):
+                pulled.append(x)
+                yield x
+        return CarrierSet(lambda x: True, gen)
+
+    def even(x):
+        return x % 2 == 0
+
+    # the source goes on past the limit: the scan stops there, not at the end
+    assert source(100).where(even, 10).prefix(8) == ([0, 2, 4, 6, 8], False)
+    assert len(pulled) == 10
+    # the source ends inside the limit: its members are all of them
+    assert source(7).where(even, 10).prefix(8) == ([0, 2, 4, 6], True)
+    # the source ends at the limit: no code past it is read to tell
+    pulled.clear()
+    ten = source(10)
+    evens = ten.where(even, 10)
+    assert evens.prefix(8) == ([0, 2, 4, 6, 8], False) and len(pulled) == 10
+    # until another reader finds the end
+    assert ten.first(11) == list(range(10))
+    assert evens.prefix(8) == ([0, 2, 4, 6, 8], True)
+    # a set given in full is read to its end at once
+    assert CarrierSet.of((3, 1, 4)).where(even, 3).prefix(3) == ([4], True)
+
+
 def test_carrier_set_restarts_an_enumerator_that_raised():
     # a raise must not read as the end of the set
     raised = []
@@ -380,7 +409,7 @@ def test_central_on_window_generators_matches_the_whole_window(make, budget):
     S = make()
     view = bounded_view(S, budget)
     window = view.codes[:SAMPLE_SIZE]
-    for x in itertools.islice(carrier(S), 3000):
+    for x in itertools.islice(S.enumerate_carrier(), 3000):
         assert view.central(x) == all(S.mul(x, w) == S.mul(w, x) for w in window), x
 
 
