@@ -337,10 +337,13 @@ class StreamSemigroup:
     """An infinite (or lazily given) semigroup.
 
     ``enumerate_carrier`` must return a fresh injective iterator over the
-    carrier codes each call.  ``division_oracle(b, e)`` describes
-    {x : x*e == b} exactly when the family can; ``declared_facts`` carries
-    ground-truth property values the builder vouches for, and
-    ``center_facts`` optionally does the same for the center subsemigroup.
+    carrier codes each call.  ``division_oracle(b, y)``, when the family
+    has one, is the ``CarrierSet`` {x : x*y == b} for every code y: its
+    membership is exact, it enumerates in the carrier's own order, and it
+    never filters an endless carrier for a member that may not come, so a
+    finite quotient runs dry.  ``declared_facts`` carries ground-truth
+    property values the builder vouches for, and ``center_facts``
+    optionally does the same for the center subsemigroup.
     ``mul`` is ``mul_fn`` itself, so a product is one call; it is not a
     field, and ``dataclasses.replace`` binds it to the copy's ``mul_fn``.
     """
@@ -441,6 +444,7 @@ class Prefix:
         self.mul, self.budget, self.depth = S.mul, budget, max(budget.elements, budget.steps)
         # membership in a stream's carrier is not decided
         self.pool, self._declared = CarrierSet(None, S.enumerate_carrier), S.declared_facts
+        self._oracle = S.division_oracle
         self._central, self._subgroup = {}, {}
 
     @cached_property
@@ -559,7 +563,12 @@ class Prefix:
         v and f*v == v (then v*f == v*x*v == f*v == v), x is v's witness,
         so f qualifies for v; as f is the only idempotent that can, it is
         the one v's own scan would find, and v's entry is recorded without
-        that scan."""
+        that scan.
+
+        With a division oracle, a quotient f/x = {v : v*x == f} that runs
+        dry within ``len(codes) + 1`` members stands in for the scan: only
+        its prefix codes are tested.  It lists them in carrier order, the
+        order of the scan, so the same v is found."""
         if x in self._subgroup:
             return self._subgroup[x]
         if x in self._idempotent_set:
@@ -568,7 +577,12 @@ class Prefix:
         mul, pre = self.mul, self.codes
         for f in self.idempotents:
             if mul(f, x) == x and mul(x, f) == x:
-                for v in pre:
+                witnesses = pre
+                if self._oracle is not None:
+                    quotient, dry = self._oracle(f, x).prefix(len(pre))
+                    if dry:
+                        witnesses = [v for v in quotient if v in self._code_set]
+                for v in witnesses:
                     if mul(x, v) == f and mul(v, x) == f:
                         self._subgroup[x] = f
                         if v not in self._subgroup and x in self._code_set and mul(f, v) == v:
@@ -838,7 +852,7 @@ def direct_product(A, B, declared_facts=None, center_facts=None):
         labels = tuple(f"{A.labels[i]}|{B.labels[j]}" for i in range(na) for j in range(nb))
         return build_finite(rows, labels=labels)
     if is_finite(A) and not is_finite(B):
-        n, table, bmul = A.size, A.table, B.mul
+        n, table, bmul, boracle = A.size, A.table, B.mul, B.division_oracle
 
         def pmul(x, y):
             xb, xa = divmod(x, n)
@@ -853,7 +867,17 @@ def direct_product(A, B, declared_facts=None, center_facts=None):
         def plabel(x):
             return f"{A.labels[x % n]}|{B.label_fn(x // n)}"
 
+        def poracle(b, y):
+            # {a : a*y_A == b_A} x (b_B / y_B), read B-major as penum reads
+            left = [a for a in range(n) if table[a][y % n] == b % n]
+            if not left:
+                return CarrierSet.of(())
+            right = boracle(b // n, y // n)
+            return CarrierSet(lambda x: x % n in left and right.member(x // n),
+                              lambda: (a + n * c for c in right.enumerate_fn() for a in left))
+
         return build_stream(f"({'x'.join(A.labels)})x{B.name}", pmul, penum, plabel,
+                            poracle if boracle else None,
                             declared_facts=declared_facts, center_facts=center_facts)
     if not is_finite(A) and is_finite(B):
         return direct_product(B, A, declared_facts=declared_facts, center_facts=center_facts)

@@ -290,16 +290,6 @@ def _associative_tables(n, commutative_only, classes=False):
         del fill
 
 
-def relabeled_table(table, perm):
-    """The table of the same semigroup after renaming i to perm[i]."""
-    n = len(table)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            out[perm[i]][perm[j]] = perm[table[i][j]]
-    return tuple(tuple(row) for row in out)
-
-
 def canonical_table(S):
     """Lexicographically least table over all relabelings; the isomorphism
     invariant used for deduplication.

@@ -248,8 +248,12 @@ def chain_finite(S, budget=DEFAULT_BUDGET):
                        {"kind": "finite", "longest_idempotent_chain": list(longest)})
     found, best = _chain_search(S, budget)
     if found is not None:
-        return _settle(S, "chain_finite", view, FAILS,
-                       {"kind": "chain", "elements": list(found), "length": len(found)})
+        witness = {"kind": "chain", "elements": list(found), "length": len(found)}
+        # a chain of ``elements`` codes proves no infinite chain: a declared
+        # chain-finite stream keeps its fact, with the chain as evidence
+        if _facts(S).get("chain_finite"):
+            return _declared(S, "chain_finite", budget, witness)
+        return _settle(S, "chain_finite", view, FAILS, witness)
     return _settle(S, "chain_finite", view, UNKNOWN,
                    {"kind": "search_exhausted", "best_chain_length": best})
 

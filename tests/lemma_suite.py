@@ -12,7 +12,7 @@ import random
 
 import oracle_brute as ob
 
-from semitop.builders import standard_finite_corpus
+from finite_corpus import standard_finite_corpus
 
 
 class TableContext:

@@ -8,9 +8,10 @@ import time
 
 import oracle_brute as ob
 import lemma_suite
+from finite_corpus import standard_finite_corpus
 
 from semitop import cli
-from semitop.builders import natplus, nullstream, flat_stream, natmin, standard_finite_corpus
+from semitop.builders import natplus, nullstream, flat_stream, natmin
 from semitop.classify import classify, implication_violations
 from semitop.core import Budget, bounded_view, power_projection
 from semitop.corpus import (

@@ -7,20 +7,21 @@ import tracemalloc
 
 import pytest
 
-from metering import capped
+from finite_corpus import relabeled_table, standard_finite_corpus
+from metering import capped, counted
 
+from semitop import cli
 from semitop.builders import (
     adjoin_identity,
     cyclic_group,
     left_zero,
     natmin,
-    standard_finite_corpus,
     stream_corpus,
     zero_semigroup,
 )
 from semitop.classify import center_necessary_conditions, classify, implication_violations
 from semitop.core import Budget, FiniteSemigroup, build_finite, build_stream, direct_product
-from semitop.corpus import enumerate_finite, relabeled_table
+from semitop.corpus import enumerate_finite
 from semitop.errors import BadParameter
 from semitop.predicates import FAILS, HOLDS, UNKNOWN, Verdict
 
@@ -130,6 +131,30 @@ def test_non_positive_budget_is_a_bad_parameter(elements, steps):
         classify(natmin(), Budget(elements, steps))
 
 
+def _contradicted(verdicts, facts):
+    """The definite verdicts whose status differs from a declared fact."""
+    return {name: v.status for name, v in verdicts.items()
+            if name in facts and v.status != UNKNOWN and v.holds != bool(facts[name])}
+
+
+@pytest.mark.parametrize("elements,steps", [(1, 1), (2, 8), (2, 16), (3, 16), (4, 64)])
+@pytest.mark.parametrize("name", sorted(STREAMS))
+def test_small_budgets_never_contradict_a_declared_fact(capsys, name, elements, steps):
+    # a chain of ``elements`` codes, one idempotent at 1/1 and a comparable
+    # pair of flat at 2/8, once refuted a declared chain_finite and made
+    # classify exit 2; such a chain proves no infinite chain
+    flags = ["--builder", name, "--budget-elems", str(elements), "--budget-steps", str(steps)]
+    for command in ("classify", "predicates"):
+        assert cli.main([command, *flags]) == 0, command
+    capsys.readouterr()
+    S = STREAMS[name]
+    report = classify(S, Budget(elements, steps), name=name)
+    verdicts = {**report.suite, "finite": report.finite,
+                "center_finite": report.center.center_finite}
+    assert _contradicted(verdicts, S.declared_facts) == {}
+    assert _contradicted(report.center.suite or {}, S.center_facts) == {}
+
+
 def test_intadd_classification_stays_under_its_multiplication_ceiling():
     # about 42 k products; the ceiling catches the subgroup certificate
     # recomputed by each Clifford predicate (about 210 k)
@@ -137,11 +162,20 @@ def test_intadd_classification_stays_under_its_multiplication_ceiling():
     classify(S, Budget(256, 4096), name="intadd")
 
 
-def test_intadd_subgroup_certificate_scans_each_inverse_pair_once():
-    # about 364 k products at 1024/16384; scanning k and its inverse -k
-    # each for the other costs about 627 k
-    S = capped(STREAMS["intadd"], 400_000)
-    classify(S, Budget(1024, 16384), name="intadd")
+def test_stream_classification_stays_under_its_multiplication_ceilings():
+    # 101,379 products on intadd at 1024/16384, and 871,478 over the corpus
+    # at 256/4096 and 1024/16384.  A subgroup certificate that scans the
+    # prefix for a witness, not reading the one code of intadd's quotient
+    # 0/x, costs 364,035 and 1,150,646.
+    total = 0
+    for budget in (Budget(256, 4096), Budget(1024, 16384)):
+        for name, plain in stream_corpus():
+            S, meter = counted(plain)
+            classify(S, budget, name=name)
+            if name == "intadd" and budget.elements == 1024:
+                assert meter.calls <= 110_000, meter.calls
+            total += meter.calls
+    assert total <= 900_000, total
 
 
 def test_chain_search_keeps_stream_classification_under_its_ceilings():

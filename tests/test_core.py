@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracle_brute as ob
+from finite_corpus import standard_finite_corpus
 from metering import capped, counted
 
 from semitop.builders import (
@@ -26,7 +27,6 @@ from semitop.builders import (
     monogenic as monogenic_builder,
     natmin,
     prodcenter,
-    standard_finite_corpus,
     stream_corpus,
 )
 from semitop.classify import classify

@@ -219,7 +219,7 @@ def test_canonical_form_matches_oracle():
 
 def test_canonical_form_is_isomorphism_invariant():
     S = builders.m3()
-    from semitop.corpus import relabeled_table
+    from finite_corpus import relabeled_table
     for perm in itertools.permutations(range(3)):
         R = builders.build_finite(relabeled_table(S.table, perm))
         assert canonical_table(R) == canonical_table(S)

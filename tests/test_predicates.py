@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 import oracle_brute as ob
+from finite_corpus import standard_finite_corpus
 from metering import counted
 
 from semitop import core, predicates
@@ -19,7 +20,6 @@ from semitop.builders import (
     natmin,
     natplus,
     nullstream,
-    standard_finite_corpus,
     stream_corpus,
     zero_semigroup,
 )
@@ -153,11 +153,18 @@ def test_commutative_search_on_streams():
 
 
 def test_contradictory_declaration_is_rejected():
+    # two idempotents are a finite proof against unipotent; a chain of 32
+    # codes proves no infinite chain, so chain_finite keeps its declared
+    # value with the chain as evidence
     base = natmin()
     liar = build_stream("liar", base.mul_fn, base.enumerate_carrier,
-                        declared_facts={"chain_finite": True})
+                        declared_facts={"chain_finite": True, "unipotent": True})
     with pytest.raises(CorpusIntegrityError):
-        chain_finite(liar, Budget(32, 4096))
+        predicates.unipotent(liar, Budget(32, 4096))
+    v = chain_finite(liar, Budget(32, 4096))
+    assert v.holds and v.source == "declared"
+    assert v.witness["evidence"] == {"kind": "chain", "elements": list(range(32)),
+                                     "length": 32}
 
 
 def test_declared_bound_exponent_is_spot_checked():

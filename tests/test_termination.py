@@ -23,12 +23,12 @@ from semitop.topology import EBase, is_regular
 
 # (topology arguments, multiplications taken)
 TOPOLOGY_CASES = {
-    "intadd-e0": (("intadd", "--e", "0"), 890_740),
-    "natmin": (("natmin",), 1_589_321),
+    "intadd-e0": (("intadd", "--e", "0"), 6_001),
+    "natmin": (("natmin",), 726_665),
     "natmin-Z-e5-64": (("natmin", "--kind", "Z", "--e", "5", "--budget-elems", "64",
-                        "--budget-steps", "1024"), 240_266),
-    "prodcenter-E": (("prodcenter", "--kind", "E"), 1_240_194),
-    "prodcenter-H": (("prodcenter", "--kind", "H"), 1_411_916),
+                        "--budget-steps", "1024"), 91_752),
+    "prodcenter-E": (("prodcenter", "--kind", "E"), 458_742),
+    "prodcenter-H": (("prodcenter", "--kind", "H"), 630_464),
     "flat-H-64": (("flat", "--kind", "H", "--budget-elems", "64", "--budget-steps", "1024"),
                   103_759),
     "flat-e3-64": (("flat", "--e", "3", "--budget", "64"), 97_967),

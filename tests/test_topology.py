@@ -1,5 +1,6 @@
 """Left quotients, shift neighborhoods, anchored bases, and certification."""
 
+import dataclasses
 import gc
 import itertools
 import random
@@ -8,6 +9,7 @@ import weakref
 import pytest
 
 import lemma_suite
+from finite_corpus import standard_finite_corpus
 from metering import capped, counted
 
 from semitop.builders import (
@@ -22,7 +24,6 @@ from semitop.builders import (
     nilstream,
     nullstream,
     prodcenter,
-    standard_finite_corpus,
 )
 from semitop.core import Budget, CarrierSet, bounded_view
 from semitop.errors import (
@@ -62,7 +63,30 @@ def test_left_quotient_finite_is_exhaustive():
 def test_left_quotient_without_oracle_is_marked_inexact():
     # the scan stops at the view's 4096 codes, not at the end of the
     # carrier, so the one member it finds is not known to be all of them
-    assert left_quotient(natmin(), 3, 5, BUDGET).prefix(8) == ([3], False)
+    S = dataclasses.replace(natmin(), division_oracle=None)
+    assert left_quotient(S, 3, 5, BUDGET).prefix(8) == ([3], False)
+
+
+@pytest.mark.parametrize("make", [flat_stream, intadd, natmin, prodcenter])
+def test_division_oracle_matches_brute_force(make):
+    # b/y for every b and y among the first 64 codes, idempotent y or not;
+    # each of these carriers enumerates 0, 1, 2, ... in order
+    S = make()
+    codes = list(itertools.islice(S.enumerate_carrier(), 64))
+    assert codes == list(range(64))
+    for y in codes:
+        products = [S.mul(x, y) for x in codes]
+        for b in codes:
+            want = [x for x in codes if products[x] == b]
+            q = S.division_oracle(b, y)
+            members, dry = q.prefix(64)
+            assert members == sorted(members), (b, y)
+            assert [x for x in members if x < 64] == want, (b, y)
+            assert [x for x in codes if q.member(x)] == want, (b, y)
+            if dry:
+                # every member lies in the window, which brute force reads
+                window = range(max(members, default=0) + 1)
+                assert members == [x for x in window if S.mul(x, y) == b], (b, y)
 
 
 def test_left_quotient_uses_division_oracle():
@@ -72,6 +96,8 @@ def test_left_quotient_uses_division_oracle():
     assert q.member(7) and not q.member(4)  # everything but the divisor maps to 0
     own, done = left_quotient(S, 4, 4, BUDGET).prefix(5)
     assert own == [4] and done
+    # min(x, 5) == 3 only at x == 3, and natmin's oracle says so exactly
+    assert left_quotient(natmin(), 3, 5, BUDGET).prefix(8) == ([3], True)
 
 
 def test_left_quotient_rejects_non_idempotent_divisor():
@@ -399,6 +425,16 @@ def test_topologizability_verdicts():
     finite = topologizability_verdict(flat_finite(3))
     assert finite.status == UNKNOWN
     assert finite.witness["kind"] == "inapplicable"
+
+
+@pytest.mark.parametrize("make,budget", [(flat_stream, Budget(2, 8)), (intadd, Budget(1, 1)),
+                                         (nullstream, Budget(1, 1))])
+def test_declared_chain_finite_semilattice_outlasts_a_budget_long_chain(make, budget):
+    # a chain of ``elements`` central idempotents proves no infinite chain,
+    # so the declared ez_chain_finite stands (it once raised here)
+    verdict = topologizability_verdict(make(), budget)
+    assert verdict.status == UNKNOWN
+    assert verdict.witness.get("ez_chain_finite", HOLDS) == HOLDS
 
 
 @pytest.mark.parametrize("make", [natplus, nullstream, nilstream, intadd])
