@@ -106,7 +106,9 @@ def center_subsemigroup(S, budget=DEFAULT_BUDGET):
     exactly; its center and commutativity come from one transposition of
     the table, kept on the handle.  A stream's handle enumerates the codes
     among the first ``depth`` of the view's pool that pass the view's
-    pointwise centrality test, which is sound only at bound; declared
+    pointwise centrality test.  That test is the stream's exact center test
+    when it gives one, as a product reads its center off its factors, and
+    costs no products; otherwise it is sound only at bound.  Declared
     center facts ride along via ``center_facts``."""
     if is_finite(S):
         if S.commutative:

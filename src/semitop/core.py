@@ -341,9 +341,13 @@ class StreamSemigroup:
     has one, is the ``CarrierSet`` {x : x*y == b} for every code y: its
     membership is exact, it enumerates in the carrier's own order, and it
     never filters an endless carrier for a member that may not come, so a
-    finite quotient runs dry.  ``declared_facts`` carries ground-truth
-    property values the builder vouches for, and ``center_facts``
-    optionally does the same for the center subsemigroup.
+    finite quotient runs dry.  ``center_fn(x)``, when the family has one,
+    decides exactly whether x lies in the center Z(S); without it a stream
+    declared commutative is its own center, and any other stream's
+    centrality is only tested against a window of its first codes.
+    ``declared_facts`` carries ground-truth property values the builder
+    vouches for, and ``center_facts`` optionally does the same for the
+    center subsemigroup.
     ``mul`` is ``mul_fn`` itself, so a product is one call; it is not a
     field, and ``dataclasses.replace`` binds it to the copy's ``mul_fn``.
     """
@@ -353,6 +357,7 @@ class StreamSemigroup:
     enumerate_carrier: Callable[[], Iterator[int]]
     label_fn: Callable[[int], str] = str
     division_oracle: Optional[Callable[[int, int], CarrierSet]] = None
+    center_fn: Optional[Callable[[int], bool]] = None
     declared_facts: dict = field(default_factory=dict)
     center_facts: Optional[dict] = None
     _views: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -363,12 +368,13 @@ class StreamSemigroup:
 
 
 def build_stream(name, mul_fn, enumerate_carrier, label_fn=str, division_oracle=None,
-                 declared_facts=None, center_facts=None, check=64):
+                 center_fn=None, declared_facts=None, center_facts=None, check=64):
     """Wrap a stream after probabilistic sanity checks on a small prefix:
     the enumerator must not repeat codes and sampled triples must associate."""
     s = StreamSemigroup(name=name, mul_fn=mul_fn, enumerate_carrier=enumerate_carrier,
                         label_fn=label_fn, division_oracle=division_oracle,
-                        declared_facts=dict(declared_facts or {}), center_facts=center_facts)
+                        center_fn=center_fn, declared_facts=dict(declared_facts or {}),
+                        center_facts=center_facts)
     seen = []
     for x in itertools.islice(enumerate_carrier(), check):
         seen.append(x)
@@ -382,6 +388,14 @@ def build_stream(name, mul_fn, enumerate_carrier, label_fn=str, division_oracle=
                 if mul_fn(ab, c) != mul_fn(a, mul_fn(b, c)):
                     raise NonAssociative(a, b, c)
     return s
+
+
+def _center_test(S):
+    """The exact center test of stream S: its ``center_fn``, or every code
+    when S is declared commutative; None when it has neither."""
+    if S.center_fn is None and (S.declared_facts or {}).get("commutative"):
+        return lambda x: True
+    return S.center_fn
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +457,8 @@ class Prefix:
     def __init__(self, S, budget=DEFAULT_BUDGET):
         self.mul, self.budget, self.depth = S.mul, budget, max(budget.elements, budget.steps)
         # membership in a stream's carrier is not decided
-        self.pool, self._declared = CarrierSet(None, S.enumerate_carrier), S.declared_facts
-        self._oracle = S.division_oracle
+        self.pool = CarrierSet(None, S.enumerate_carrier)
+        self._oracle, self._center_fn = S.division_oracle, _center_test(S)
         self._central, self._subgroup = {}, {}
 
     @cached_property
@@ -465,11 +479,11 @@ class Prefix:
 
     @cached_property
     def center(self):
-        """Codes commuting with every code: on a stream neither an under-
-        nor an over-approximation of the center.  A stream declared
-        commutative is its own center."""
+        """With a center test (``central_exact``), the codes that pass it,
+        at no product.  Otherwise the codes commuting with every code: on a
+        stream neither an under- nor an over-approximation of the center."""
         if self.central_exact:
-            return self.codes
+            return tuple(filter(self._center_fn, self.codes))
         mul, pre = self.mul, self.codes
         return tuple(z for z in pre if all(mul(z, x) == mul(x, z) for x in pre))
 
@@ -486,10 +500,11 @@ class Prefix:
         return {f: [g for g in pool if g != f and mul(g, f) == g and mul(f, g) == g]
                 for f in pool}
 
-    @cached_property
+    @property
     def central_exact(self):
-        """``central`` is exact only on streams declared commutative."""
-        return bool((self._declared or {}).get("commutative"))
+        """Whether ``central`` is exact: the stream gives a center test,
+        or is declared commutative, so that every code passes."""
+        return self._center_fn is not None
 
     @cached_property
     def _window_generators(self):
@@ -519,14 +534,16 @@ class Prefix:
         return tuple(generators)
 
     def central(self, x):
-        """Does x commute with the first ``SAMPLE_SIZE`` codes?  Can only
-        over-accept.  x is tested against ``_window_generators`` alone:
-        if x commutes with a and b it commutes with ab, since
+        """Is x central?  With a center test (``central_exact``) the answer
+        is exact and costs no product.  Otherwise it is whether x commutes
+        with the first ``SAMPLE_SIZE`` codes, which can only over-accept.
+        x is then tested against ``_window_generators`` alone: if x
+        commutes with a and b it commutes with ab, since
         x(ab) = (ax)b = a(bx) = (ab)x, so x commutes with G iff it commutes
         with the subsemigroup <G>, which contains the window W; and G lies
         inside W.  So the answer is the one a test against all of W gives."""
-        if self.central_exact:
-            return True
+        if self._center_fn is not None:
+            return self._center_fn(x)
         if x not in self._central:
             mul = self.mul
             self._central[x] = all(mul(x, g) == mul(g, x)
@@ -855,9 +872,7 @@ def direct_product(A, B, declared_facts=None, center_facts=None):
         n, table, bmul, boracle = A.size, A.table, B.mul, B.division_oracle
 
         def pmul(x, y):
-            xb, xa = divmod(x, n)
-            yb, ya = divmod(y, n)
-            return table[xa][ya] + n * bmul(xb, yb)
+            return table[x % n][y % n] + n * bmul(x // n, y // n)
 
         def penum():
             for bcode in B.enumerate_carrier():
@@ -876,8 +891,15 @@ def direct_product(A, B, declared_facts=None, center_facts=None):
             return CarrierSet(lambda x: x % n in left and right.member(x // n),
                               lambda: (a + n * c for c in right.enumerate_fn() for a in left))
 
+        # Z(A x B) = Z(A) x Z(B): (a, b) commutes with every (a', b') iff a
+        # commutes with every a' and b with every b'
+        acenter, bcenter = frozenset(A.center_codes), _center_test(B)
+
+        def pcenter(x):
+            return x % n in acenter and bcenter(x // n)
+
         return build_stream(f"({'x'.join(A.labels)})x{B.name}", pmul, penum, plabel,
-                            poracle if boracle else None,
+                            poracle if boracle else None, pcenter if bcenter else None,
                             declared_facts=declared_facts, center_facts=center_facts)
     if not is_finite(A) and is_finite(B):
         return direct_product(B, A, declared_facts=declared_facts, center_facts=center_facts)

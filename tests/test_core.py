@@ -22,6 +22,7 @@ from semitop.builders import (
     flat_finite,
     flat_stream,
     group_union,
+    intadd,
     left_zero,
     m3,
     monogenic as monogenic_builder,
@@ -400,14 +401,44 @@ def test_idempotents_and_center_match_oracle():
         assert sorted(center(S).elements) == ob.center(t), name
 
 
+def _center_fn_cases():
+    yield "prodcenter", prodcenter()
+    yield "leftzero:2 x natmin", direct_product(left_zero(2), natmin())
+    for name, A in standard_finite_corpus():
+        yield f"{name} x natmin", direct_product(A, natmin())
+        yield f"{name} x intadd", direct_product(A, intadd())
+    # a noncommutative B, whose own center test the product must read
+    yield "cyclic:2 x prodcenter", direct_product(cyclic_group(2), prodcenter())
+
+
+def test_center_fn_matches_brute_force():
+    # Z(A x B) = Z(A) x Z(B).  The first K = 48 codes run through the
+    # finite part of each product (of order 8 at most: A, or A times the
+    # finite factor of prodcenter) six times over, so every noncentral code
+    # among them meets a code it does not commute with
+    K = 48
+    for name, S in _center_fn_cases():
+        codes = list(itertools.islice(S.enumerate_carrier(), K))
+        for x in codes:
+            brute = all(S.mul(x, y) == S.mul(y, x) for y in codes)
+            assert S.center_fn(x) == brute, (name, x)
+    # a noncommutative B with no center test of its own gives the product none
+    B = dataclasses.replace(prodcenter(), center_fn=None)
+    assert direct_product(cyclic_group(2), B).center_fn is None
+
+
 @pytest.mark.parametrize("budget", [Budget(16, 256), Budget(256, 4096)])
 @pytest.mark.parametrize("make", [prodcenter,
-                                  lambda: direct_product(left_zero(2), natmin())])
+                                  lambda: direct_product(left_zero(2), natmin()),
+                                  lambda: dataclasses.replace(prodcenter(), center_fn=None)])
 def test_central_on_window_generators_matches_the_whole_window(make, budget):
-    # x is tested against a generating set of the window only; the answer
-    # must be the one the test against every window code gives
+    # without a center test, x is tested against a generating set of the
+    # window only; the answer must be the one the test against every window
+    # code gives.  With one, the window is wide enough to reach every
+    # noncentral code's witness, so the two agree as well
     S = make()
     view = bounded_view(S, budget)
+    assert view.central_exact == (S.center_fn is not None)
     window = view.codes[:SAMPLE_SIZE]
     for x in itertools.islice(S.enumerate_carrier(), 3000):
         assert view.central(x) == all(S.mul(x, w) == S.mul(w, x) for w in window), x

@@ -27,8 +27,8 @@ TOPOLOGY_CASES = {
     "natmin": (("natmin",), 726_665),
     "natmin-Z-e5-64": (("natmin", "--kind", "Z", "--e", "5", "--budget-elems", "64",
                         "--budget-steps", "1024"), 91_752),
-    "prodcenter-E": (("prodcenter", "--kind", "E"), 458_742),
-    "prodcenter-H": (("prodcenter", "--kind", "H"), 630_464),
+    "prodcenter-E": (("prodcenter", "--kind", "E"), 350_196),
+    "prodcenter-H": (("prodcenter", "--kind", "H"), 521_918),
     "flat-H-64": (("flat", "--kind", "H", "--budget-elems", "64", "--budget-steps", "1024"),
                   103_759),
     "flat-e3-64": (("flat", "--e", "3", "--budget", "64"), 97_967),

@@ -24,6 +24,7 @@ from semitop.builders import (
     nilstream,
     nullstream,
     prodcenter,
+    stream_corpus,
 )
 from semitop.core import Budget, CarrierSet, bounded_view
 from semitop.errors import (
@@ -437,6 +438,18 @@ def test_declared_chain_finite_semilattice_outlasts_a_budget_long_chain(make, bu
     assert verdict.witness.get("ez_chain_finite", HOLDS) == HOLDS
 
 
+@pytest.mark.parametrize("elements,steps", [(1, 1), (2, 8), (2, 16), (3, 16), (4, 64)])
+@pytest.mark.parametrize("name,S", stream_corpus(), ids=[name for name, _ in stream_corpus()])
+def test_declared_infinite_semilattice_outlasts_a_short_prefix(name, S, elements, steps):
+    # fewer than two central idempotents in a prefix refute no infinite
+    # central semilattice, so a declared ez_infinite stands, with the count
+    # as its evidence (natmin, flat and prodcenter once raised here)
+    verdict = topologizability_verdict(S, Budget(elements, steps))
+    assert verdict.status == UNKNOWN
+    if S.declared_facts["ez_infinite"]:
+        assert "ez_infinite" not in verdict.witness.get("missing", ()), name
+
+
 @pytest.mark.parametrize("make", [natplus, nullstream, nilstream, intadd])
 def test_commutative_verdict_stays_under_its_multiplication_ceiling(make):
     # about 260 products; the ceiling catches an n^2 center scan of a
@@ -445,11 +458,13 @@ def test_commutative_verdict_stays_under_its_multiplication_ceiling(make):
 
 
 @pytest.mark.parametrize("make,ceiling", [(natmin, 100_000), (flat_stream, 70_000),
-                                          (prodcenter, 56_000)])
+                                          (prodcenter, 22_000)])
 def test_verdict_builds_one_central_order(make, ceiling):
-    # 98,176, 68,625 and 55,000 products; building the up-set table of the
+    # 98,176, 68,609 and 10,966 products; building the up-set table of the
     # central idempotents twice (once per chain search, once per anchor
-    # selection) about doubles each
+    # selection) about doubles each, and testing prodcenter's codes against
+    # the window's generators, not reading its center off its factors,
+    # costs it 55,000
     topologizability_verdict(capped(make(), ceiling), BUDGET)
 
 
