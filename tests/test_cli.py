@@ -4,6 +4,7 @@ import argparse
 import gc
 import hashlib
 import json
+import random
 import runpy
 import sys
 
@@ -350,6 +351,61 @@ def test_finite_reports_match_the_golden_digests(capsys, fixtures_dir, command, 
     code, out, _ = run(capsys, command, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == FINITE_DIGESTS[command, target]
+
+
+def _large_tables():
+    """Tables of order 100-256 in the shapes of the finite-ingest workload,
+    each relabeled by a permutation seeded with its name."""
+    from finite_corpus import relabeled_table
+    from semitop.builders import (chain_semilattice, cyclic_group, flat_finite,
+                                  group_union, left_zero, monogenic)
+    from semitop.core import adjoin_identity, adjoin_zero, direct_product
+
+    made = {
+        "chain-128": lambda: chain_semilattice(128),
+        "flat-100": lambda: flat_finite(99),
+        "leftzero1xcyclic-200": lambda: direct_product(adjoin_identity(left_zero(4)),
+                                                       cyclic_group(40)),
+        "cyclicprod-256": lambda: direct_product(cyclic_group(16), cyclic_group(16)),
+        "monogenic0-224": lambda: adjoin_zero(monogenic(100, 124)),
+        "groupunion-160": lambda: group_union([20, 33, 47, 59]),
+    }
+    for name, make in made.items():
+        table = make().table
+        perm = list(range(len(table)))
+        random.Random(name).shuffle(perm)
+        yield name, relabeled_table(table, perm)
+
+
+# sha256 of stdout of `classify` and `predicates` on large relabeled tables:
+# the table check and the finite predicates, the 128-code
+# longest_idempotent_chain witness among them, must keep their bytes
+LARGE_FINITE_DIGESTS = {
+    ("classify", "chain-128"): "f98d6c27f7a2cdf5747cc80da5cd1a2f7f8b352e42fc05c7f2796eec5c707df1",
+    ("classify", "cyclicprod-256"): "c85caa207363ec23f813ce1771ff5b6df1afe7f25a16872a9d2344d44a617217",
+    ("classify", "flat-100"): "5594653f689ce877b0c24e81b9fbb59342df7fe90b3ad3433d06ca32cd645270",
+    ("classify", "groupunion-160"): "aa10db7c2359ee7e000df81e47ea65e023923de85298ce3e0949e2b0981cde88",
+    ("classify", "leftzero1xcyclic-200"): "eca334d641ab3d5d0efab42e47cbcf4765534fd502f0434409f4244ccf76ec2d",
+    ("classify", "monogenic0-224"): "302494faf29fc1089256d69e5747f7cbb286feeaca02ef8b973e271dd7db1529",
+    ("predicates", "chain-128"): "f4b51d0e27a611059fc26f3f7c879c1bd5793fcfc7d606c9be984df2a32ae7a2",
+    ("predicates", "cyclicprod-256"): "429ec331fa1752d5fabe44d02765f1073247dbca721af2d715a9fdd5ae49eced",
+    ("predicates", "flat-100"): "ccf60764d4dfff2635f27ba225c4e092054c4aa41ee6bf551b85246c4e984560",
+    ("predicates", "groupunion-160"): "19b45f7757eb2e6ca6cf90537f4a7a34ae443cf966f42e7ce7510528fce29dd0",
+    ("predicates", "leftzero1xcyclic-200"): "0b290495bddedfab6f50fbf41686d4350a4b8ec748697602087e037d9b298d86",
+    ("predicates", "monogenic0-224"): "fe6e97b88097ce48acb895e4e4d77acceb5d196f656fce27e7a03dbe75eac7c4",
+}
+
+
+@pytest.mark.parametrize("command,name", sorted(LARGE_FINITE_DIGESTS))
+def test_large_finite_reports_match_the_golden_digests(capsys, tmp_path, command, name):
+    table = dict(_large_tables())[name]
+    n = len(table)
+    path = tmp_path / f"{name}.cayley"
+    path.write_text("\n".join([str(n), " ".join(f"x{i}" for i in range(n))]
+                              + [" ".join(map(str, row)) for row in table]) + "\n")
+    code, out, _ = run(capsys, command, str(path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LARGE_FINITE_DIGESTS[command, name]
 
 
 def test_python_dash_m_runs_the_cli(capsys, monkeypatch):
