@@ -27,7 +27,7 @@ from .predicates import (
     HOLDS,
     UNKNOWN,
     Verdict,
-    _facts,
+    _declared,
     conjunction_status,
     evaluate_suite,
     negation_status,
@@ -190,9 +190,12 @@ def center_necessary_conditions(S, budget=DEFAULT_BUDGET, suite=None):
     # on a stream, an infinite center may start past the probe, or go on past it
     scanned = max(budget.elements, budget.steps)
     if handle is None:
+        # a probe that found no central code refutes no declared center:
+        # an infinite one may start past it
+        probe = {"kind": "center_probe_empty", "scanned": scanned}
         cfin = (Verdict(HOLDS, "finite", {"kind": "empty_center"}, budget) if exact
-                else Verdict(UNKNOWN, "search",
-                             {"kind": "center_probe_empty", "scanned": scanned}, budget))
+                else _declared(S, "center_finite", budget, probe)
+                or Verdict(UNKNOWN, "search", probe, budget))
         return CenterAnalysis(empty=True, prefix_certified=not exact, suite=None,
                               closed_necessary=None, injective_necessary=None,
                               center_finite=cfin)
@@ -207,12 +210,8 @@ def center_necessary_conditions(S, budget=DEFAULT_BUDGET, suite=None):
         if cfin.holds and not (exact or bounded_view(S, budget).pool.dry):
             cfin = Verdict(UNKNOWN, "search",
                            {"kind": "center_probe_capped", "scanned": scanned}, budget)
-        declared = _facts(S)
-        if cfin.status == UNKNOWN and "center_finite" in declared:
-            value = bool(declared["center_finite"])
-            cfin = Verdict(HOLDS if value else FAILS, "declared",
-                           {"kind": "declared", "fact": "center_finite",
-                            "value": value}, budget)
+        if cfin.status == UNKNOWN:
+            cfin = _declared(S, "center_finite", budget) or cfin
     closed = _conjunction_verdict(
         csuite, ("chain_finite", "periodic", "nonsingular"), budget,
         extra_note="necessary on the center for closedness")

@@ -263,11 +263,12 @@ def build_finite(table, labels=None):
     Associativity is Light's test (Clifford & Preston, *The Algebraic
     Theory of Semigroups* I, section 1.2): the middles m with (x*m)*y ==
     x*(m*y) for all x, y are closed under the product, so checking the
-    middles of one generating set suffices.  A middle g costs
-    O(n * (|I_g| + distinct a*g)) lookups, I_g the image of row g (see
-    ``_first_failure``), so the check is O(n * sum over the generators of
-    (|I_g| + distinct a*g)): O(n^2) on the flat semilattice, whose every
-    element is a generator with |I_g| = 2.
+    middles of one generating set suffices.  Up to 256 codes the rows are
+    ``bytes``, and ``_associates`` reads a row through another with one
+    ``bytes.translate``, mapped over the rows in C; larger tables take the
+    row loop of ``_first_failure``.  Either way a failing table is then
+    scanned over every middle by ``_first_failure``, which names the
+    lexicographically first triple.
     """
     rows = [tuple(row) for row in table]
     n = len(rows)
@@ -288,10 +289,8 @@ def build_finite(table, labels=None):
     t = tuple(rows)
     # (a*b)*c == a*(b*c) for all c at once: row a*b must equal row a read
     # through row b.  Only a failing table pays for the scan over every
-    # middle, which finds the first triple.  n == 1 is skipped: the only
-    # 1x1 table, [[0]], associates, and itemgetter of one index returns a
-    # scalar.
-    if n > 1 and _first_failure(t, generators(t)) is not None:
+    # middle, which finds the first triple.
+    if not _associates(t, generators(t)):
         a, b = _first_failure(t, range(n))
         c = next(c for c in range(n) if t[t[a][b]][c] != t[a][t[b][c]])
         raise NonAssociative(a, b, c)
@@ -302,6 +301,37 @@ def build_finite(table, labels=None):
         if len(labels) != n:
             raise MalformedTable("label count does not match table size")
     return FiniteSemigroup(table=t, labels=labels)
+
+
+def _associates(t, middles):
+    """Whether row a*b equals row a read through row b for every code a
+    and every b in ``middles``: (a*b)*c == a*(b*c) for all a, c.
+
+    Up to 256 codes a row is ``bytes``, padded to a translation table
+    whose byte v is a*v, so row a read through row b is
+    ``rows[b].translate(pads[a])``.  Row a read through row b depends
+    only on row a at the image I_b of row b.  So when row b has few
+    distinct values (at most n/4), each row is first read at b and at I_b,
+    ``key.translate(pads[a])`` with key = b then I_b: rows with one key
+    have one product a*b and read alike through row b, and one row per key
+    is read in full.  Larger tables take ``_first_failure``."""
+    n = len(t)
+    if n > 256:
+        return _first_failure(t, middles) is None
+    rows = list(map(bytes, t))
+    # the padding is never read: translation looks up codes only
+    pads = [row.ljust(256) for row in rows]
+    for b in middles:
+        image = set(t[b])
+        if 4 * len(image) > n:
+            reads, targets = map(rows[b].translate, pads), [rows[row[b]] for row in t]
+        else:
+            key = bytes((b, *image))
+            by_key = dict(zip(map(key.translate, pads), pads))
+            reads, targets = map(rows[b].translate, by_key.values()), [rows[k[0]] for k in by_key]
+        if list(reads) != targets:
+            return False
+    return True
 
 
 def _first_failure(t, middles):
@@ -690,54 +720,55 @@ def central_idempotents(S, budget=DEFAULT_BUDGET):
 @dataclass
 class IdempotentPoset:
     """The natural partial order e <= f iff ef == fe == e, on a finite set
-    of idempotents (possibly just a stream prefix, then ``exact`` is False)."""
+    of idempotents (possibly just a stream prefix, then ``exact`` is False).
+    ``down`` maps each element to the others below it, in element order."""
 
     elements: tuple
-    _leq: frozenset
+    down: dict
     exact: bool = True
 
     def leq(self, x, y):
-        return (x, y) in self._leq
+        return x in self.down.get(y, ()) or x == y and x in self.down
 
     def longest_chain(self):
-        """One longest chain, listed bottom to top."""
-        best = {}
+        """One longest chain, listed bottom to top: the first longest in
+        element order by its top, and below each element the first, in
+        element order, of those with the longest chain under them.
 
-        def climb(e):
-            if e in best:
-                return best[e]
-            chain = [e]
-            for f in self.elements:
-                if f != e and self.leq(f, e):
-                    cand = climb(f) + [e]
-                    if len(cand) > len(chain):
-                        chain = cand
-            best[e] = chain
-            return chain
-
-        out = []
-        for e in self.elements:
-            c = climb(e)
-            if len(c) > len(out):
-                out = c
-        # climb's closure holds climb: without this the poset is freed only
-        # by a cyclic collection
-        del climb
-        return tuple(out)
+        An element below another has the smaller down-set, so in order of
+        down-set size each element's longest chain is known before those
+        of the elements above it; each keeps the element it steps down to."""
+        if not self.elements:
+            return ()
+        down = self.down
+        length, step = {}, {}
+        for e in sorted(self.elements, key=lambda e: len(down[e])):
+            if down[e]:
+                f = max(down[e], key=length.__getitem__)
+                length[e], step[e] = length[f] + 1, f
+            else:
+                length[e] = 1
+        e = max(self.elements, key=length.__getitem__)
+        out = [e]
+        while e in step:
+            e = step[e]
+            out.append(e)
+        return tuple(reversed(out))
 
 
 def natural_order(S, budget=DEFAULT_BUDGET):
-    """Natural partial order on the idempotents the view finds."""
+    """Natural partial order on the idempotents the view finds, as the
+    down-list of each."""
     found = idempotents(S, budget)
     elems, exact = tuple(found.elements), found.exact
     if is_finite(S):
         t = S.table
-        rel = frozenset((x, y) for x in elems for y in elems if t[x][y] == x == t[y][x])
+        down = {e: [f for f in elems if t[f][e] == f == t[e][f] and f != e] for e in elems}
     else:
         mul = S.mul
-        rel = frozenset((x, y) for x in elems for y in elems
-                        if mul(x, y) == x and mul(y, x) == x)
-    return IdempotentPoset(elements=elems, _leq=rel, exact=exact)
+        down = {e: [f for f in elems if mul(f, e) == f and mul(e, f) == f and f != e]
+                for e in elems}
+    return IdempotentPoset(elements=elems, down=down, exact=exact)
 
 
 # ---------------------------------------------------------------------------

@@ -325,15 +325,15 @@ class EBase:
             F = params
 
             def pred(x):
-                return (in_quotient(x) and S.mul(x, x) == x
-                        and central(x) and not above_some(F, x))
+                return (central(x) and in_quotient(x) and S.mul(x, x) == x
+                        and not above_some(F, x))
 
             out = view.pool.where(pred, depth)
         elif self.kind == "H":
             F = params
 
             def pred(x):
-                if not (in_quotient(x) and central(x)):
+                if not (central(x) and in_quotient(x)):
                     return False
                 f = view.subgroup_idempotent(x)
                 return f is not None and not above_some(F, f)
@@ -343,7 +343,7 @@ class EBase:
             n, F = params
 
             def qualifies(z):
-                if not (in_quotient(z) and central(z)):
+                if not (central(z) and in_quotient(z)):
                     return False
                 pp = power_projection(S, z, budget)
                 return (pp.status == "defined" and central(pp.idempotent)

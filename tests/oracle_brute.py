@@ -169,3 +169,29 @@ def subgroup_certificate(mul, idempotents, prefix, codes=None):
                 out[x] = f
                 break
     return out
+
+
+def longest_chain(t):
+    """One longest chain of idempotents under e <= f iff ef == fe == e,
+    bottom to top, by memoized recursion: below each e, the first f < e in
+    code order with the longest chain under it, and on top the first e in
+    code order whose chain is longest."""
+    idem = idempotents(t)
+    best = {}
+
+    def climb(e):
+        if e not in best:
+            chain = [e]
+            for f in idem:
+                if f != e and t[f][e] == f == t[e][f]:
+                    cand = climb(f) + [e]
+                    if len(cand) > len(chain):
+                        chain = cand
+            best[e] = chain
+        return best[e]
+
+    out = []
+    for e in idem:
+        if len(climb(e)) > len(out):
+            out = climb(e)
+    return tuple(out)

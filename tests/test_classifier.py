@@ -131,6 +131,22 @@ def test_empty_stream_center_is_unknown_not_a_hang():
     assert report.theorems["absolute_T1S"].status == UNKNOWN
 
 
+@pytest.mark.parametrize("elements,steps", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_a_declared_infinite_center_outlasts_an_empty_probe(elements, steps):
+    # prodcenter's first central code is 2, past a probe of two codes; an
+    # empty probe refutes no declared center, and an absolutely T1S-closed
+    # semigroup has a finite center
+    budget = Budget(elements, steps)
+    report = classify(STREAMS["prodcenter"], budget)
+    assert report.center.empty
+    cfin = report.center.center_finite
+    assert cfin.status == FAILS and cfin.source == "declared"
+    assert cfin.witness["evidence"] == {"kind": "center_probe_empty",
+                                        "scanned": max(elements, steps)}
+    absolute = report.theorems["absolute_T1S"]
+    assert absolute.status == FAILS and absolute.witness["kind"] == "center_infinite"
+
+
 @pytest.mark.parametrize("elements,steps", [(-3, 4096), (0, 4096), (256, 0)])
 def test_non_positive_budget_is_a_bad_parameter(elements, steps):
     # (-3, 4096) once reached classify and raised a raw ValueError from islice

@@ -12,8 +12,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+import semitop.core as core
+
 import oracle_brute as ob
-from finite_corpus import standard_finite_corpus
+from finite_corpus import relabeled_table, standard_finite_corpus
 from metering import capped, counted
 
 from semitop.builders import (
@@ -50,7 +52,7 @@ from semitop.core import (
     power_projection,
     restrict,
 )
-from semitop.corpus import enumerate_finite
+from semitop.corpus import enumerate_classes, enumerate_finite
 from semitop.errors import (
     MalformedTable,
     NonAssociative,
@@ -219,16 +221,54 @@ def test_every_corrupted_cell_of_a_small_table_raises_the_naive_first_triple(mak
         assert err.value.triple == first
 
 
-def test_cyclic_group_of_order_256_checks_two_middles(monkeypatch):
-    import semitop.core as core
-    checked = []
+@given(st.integers(2, 6), st.data())
+def test_the_bytes_decider_agrees_with_the_row_loop(n, data):
+    # entries drawn from the first k codes give rows of few distinct
+    # values, which the decider reads at their image first.  The row loop
+    # needs two codes (an itemgetter of one index returns a scalar); the
+    # one 1x1 table is checked on its own
+    k = data.draw(st.integers(1, n))
+    flat = data.draw(st.lists(st.integers(0, k - 1), min_size=n * n, max_size=n * n))
+    table = tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
+    middles = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    assert core._associates(table, middles) == (core._first_failure(table, middles) is None)
+
+
+@pytest.mark.parametrize("make,bytes_path", [
+    (lambda: flat_finite(255), True),
+    (lambda: cyclic_group(257), False),
+], ids=["flat255-bytes", "cyclic257-rows"])
+def test_tables_at_the_bytes_boundary(monkeypatch, make, bytes_path):
+    # 256 codes fit a translation table; 257 take the row loop
+    table = make().table
+    loops = []
     inner = core._first_failure
+    monkeypatch.setattr(core, "_first_failure",
+                        lambda t, middles: loops.append(len(middles)) or inner(t, middles))
+    assert build_finite(table).table == table
+    assert (loops == []) == bytes_path
+    monkeypatch.undo()
+    n = len(table)
+    rng = random.Random(n)
+    rows = [list(row) for row in table]
+    x, y = rng.randrange(n), rng.randrange(n)
+    rows[x][y] = (rows[x][y] + 1 + rng.randrange(n - 1)) % n
+    first = _naive_first_triple(tuple(map(tuple, rows)))
+    assert first is not None
+    with pytest.raises(NonAssociative) as err:
+        build_finite(rows)
+    assert err.value.triple == first
+
+
+def test_cyclic_group_of_order_256_checks_two_middles(monkeypatch):
+    checked = []
+    inner = core._associates
 
     def spy(t, middles):
         checked.append(len(middles))
         return inner(t, middles)
 
-    monkeypatch.setattr(core, "_first_failure", spy)
+    monkeypatch.setattr(core, "_associates", spy)
     cyclic_group(256)
     assert checked == [2]
 
@@ -354,6 +394,21 @@ def test_natural_order_on_chain_is_linear():
     for x, y in itertools.combinations(range(4), 2):
         assert poset.leq(x, y)
         assert not poset.leq(y, x)
+
+
+def test_longest_chain_matches_the_recursive_reference():
+    # every class of order <= 4 under three relabelings each: the chain
+    # and its tie-breaks, the first longest by its top and the first
+    # longest below each step, are those of the recursive search
+    rng = random.Random(4)
+    for n in range(1, 5):
+        for S, _ in enumerate_classes(n):
+            for _ in range(3):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                table = relabeled_table(S.table, perm)
+                assert natural_order(build_finite(table)).longest_chain() == \
+                    ob.longest_chain(table), table
 
 
 def test_a_poset_is_freed_after_longest_chain_without_a_collection():
