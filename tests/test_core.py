@@ -12,12 +12,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-import semitop.core as core
-
 import oracle_brute as ob
 from finite_corpus import relabeled_table, standard_finite_corpus
 from metering import capped, counted
 
+import semitop.core as core
 from semitop.builders import (
     chain_semilattice,
     cyclic_group,
@@ -412,8 +411,8 @@ def test_longest_chain_matches_the_recursive_reference():
 
 
 def test_a_poset_is_freed_after_longest_chain_without_a_collection():
-    # the recursive search must not leave the poset in a reference cycle,
-    # which keeps it alive until the cyclic collector runs
+    # the search must not leave the poset in a reference cycle, which
+    # keeps it alive until the cyclic collector runs
     poset = natural_order(chain_semilattice(4))
     assert poset.longest_chain() == (0, 1, 2, 3)
     gone = weakref.ref(poset)
