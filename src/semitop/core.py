@@ -328,7 +328,8 @@ def _associates(t, middles):
         else:
             key = bytes((b, *image))
             by_key = dict(zip(map(key.translate, pads), pads))
-            reads, targets = map(rows[b].translate, by_key.values()), [rows[k[0]] for k in by_key]
+            reads = map(rows[b].translate, by_key.values())
+            targets = [rows[k[0]] for k in by_key]
         if list(reads) != targets:
             return False
     return True

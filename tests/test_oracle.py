@@ -40,7 +40,7 @@ def _statuses(report):
             **{name: v.status for name, v in report.theorems.items()}}
 
 
-def _as_stream(table, budget):
+def _stream_statuses(table, budget):
     """The table as a stream with no declared facts, classified at
     ``budget`` on a counted copy."""
     S, _ = counted(build_stream(f"table:{len(table)}", lambda x, y: table[x][y],
@@ -60,7 +60,7 @@ def classes():
 def test_stream_oracle_never_contradicts_the_exact_report(classes, budget):
     contradicted = []
     for table, exact in classes:
-        got = _as_stream(table, budget)
+        got = _stream_statuses(table, budget)
         wrong = sorted(k for k, status in got.items()
                        if status != "unknown" and status != exact[k])
         if wrong:
@@ -77,4 +77,5 @@ def test_stream_oracle_opposite_tables_keep_every_status(classes):
         opposite = tuple(zip(*table))
         assert _statuses(classify(build_finite(opposite))) == exact, table
         for budget in budgets:
-            assert _as_stream(opposite, budget) == _as_stream(table, budget), (table, budget)
+            assert (_stream_statuses(opposite, budget)
+                    == _stream_statuses(table, budget)), (table, budget)
