@@ -310,27 +310,21 @@ def _associates(t, middles):
     Up to 256 codes a row is ``bytes``, padded to a translation table
     whose byte v is a*v, so row a read through row b is
     ``rows[b].translate(pads[a])``.  Row a read through row b depends
-    only on row a at the image I_b of row b.  So when row b has few
-    distinct values (at most n/4), each row is first read at b and at I_b,
-    ``key.translate(pads[a])`` with key = b then I_b: rows with one key
-    have one product a*b and read alike through row b, and one row per key
-    is read in full.  Larger tables take ``_first_failure``."""
-    n = len(t)
-    if n > 256:
+    only on row a at the image I_b of row b.  So each row is first read at
+    b and at I_b, ``key.translate(pads[a])`` with key = b then I_b: rows
+    with one key have one product a*b and read alike through row b, and
+    one row per key is read in full.  Larger tables take
+    ``_first_failure``."""
+    if len(t) > 256:
         return _first_failure(t, middles) is None
     rows = list(map(bytes, t))
     # the padding is never read: translation looks up codes only
     pads = [row.ljust(256) for row in rows]
     for b in middles:
-        image = set(t[b])
-        if 4 * len(image) > n:
-            reads, targets = map(rows[b].translate, pads), [rows[row[b]] for row in t]
-        else:
-            key = bytes((b, *image))
-            by_key = dict(zip(map(key.translate, pads), pads))
-            reads = map(rows[b].translate, by_key.values())
-            targets = [rows[k[0]] for k in by_key]
-        if list(reads) != targets:
+        key = bytes((b, *set(t[b])))
+        by_key = dict(zip(map(key.translate, pads), pads))
+        if (list(map(rows[b].translate, by_key.values()))
+                != [rows[k[0]] for k in by_key]):
             return False
     return True
 
@@ -728,9 +722,6 @@ class IdempotentPoset:
     down: dict
     exact: bool = True
 
-    def leq(self, x, y):
-        return x in self.down.get(y, ()) or x == y and x in self.down
-
     def longest_chain(self):
         """One longest chain, listed bottom to top: the first longest in
         element order by its top, and below each element the first, in
@@ -767,8 +758,8 @@ def natural_order(S, budget=DEFAULT_BUDGET):
         down = {e: [f for f in elems if t[f][e] == f == t[e][f] and f != e] for e in elems}
     else:
         mul = S.mul
-        down = {e: [f for f in elems if mul(f, e) == f and mul(e, f) == f and f != e]
-                for e in elems}
+        down = {y: [x for x in elems if mul(x, y) == x and mul(y, x) == x and x != y]
+                for y in elems}
     return IdempotentPoset(elements=elems, down=down, exact=exact)
 
 

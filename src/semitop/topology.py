@@ -321,19 +321,28 @@ class EBase:
         def above_some(F, f):
             return any(_leq(S, g, f) for g in F)
 
+        def and_central(test):
+            """test(x) and central(x), centrality first when a center test
+            makes it free; otherwise test's products screen x before the
+            window's commutation test."""
+            if view.central_exact:
+                return lambda x: central(x) and test(x)
+            return lambda x: test(x) and central(x)
+
         if self.kind == "E":
             F = params
+            admits = and_central(lambda x: in_quotient(x) and S.mul(x, x) == x)
 
             def pred(x):
-                return (central(x) and in_quotient(x) and S.mul(x, x) == x
-                        and not above_some(F, x))
+                return admits(x) and not above_some(F, x)
 
             out = view.pool.where(pred, depth)
         elif self.kind == "H":
             F = params
+            admits = and_central(in_quotient)
 
             def pred(x):
-                if not (central(x) and in_quotient(x)):
+                if not admits(x):
                     return False
                 f = view.subgroup_idempotent(x)
                 return f is not None and not above_some(F, f)
@@ -341,9 +350,10 @@ class EBase:
             out = view.pool.where(pred, depth)
         else:
             n, F = params
+            admits = and_central(in_quotient)
 
             def qualifies(z):
-                if not (central(z) and in_quotient(z)):
+                if not admits(z):
                     return False
                 pp = power_projection(S, z, budget)
                 return (pp.status == "defined" and central(pp.idempotent)

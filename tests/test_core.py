@@ -223,7 +223,7 @@ def test_every_corrupted_cell_of_a_small_table_raises_the_naive_first_triple(mak
 @given(st.integers(2, 6), st.data())
 def test_the_bytes_decider_agrees_with_the_row_loop(n, data):
     # entries drawn from the first k codes give rows of few distinct
-    # values, which the decider reads at their image first.  The row loop
+    # values, so that many rows share the decider's key.  The row loop
     # needs two codes (an itemgetter of one index returns a scalar); the
     # one 1x1 table is checked on its own
     k = data.draw(st.integers(1, n))
@@ -390,9 +390,8 @@ def test_natural_order_on_chain_is_linear():
     S = chain_semilattice(4)
     poset = natural_order(S)
     assert poset.longest_chain() == (0, 1, 2, 3)
-    for x, y in itertools.combinations(range(4), 2):
-        assert poset.leq(x, y)
-        assert not poset.leq(y, x)
+    # each code lies strictly above every smaller code and no larger one
+    assert poset.down == {y: list(range(y)) for y in range(4)}
 
 
 def test_longest_chain_matches_the_recursive_reference():
@@ -443,8 +442,8 @@ def test_a_dropped_stream_frees_its_views_without_a_collection():
 def test_natural_order_on_flat_has_incomparable_atoms():
     S = flat_finite(3)
     poset = natural_order(S)
-    for a, b in itertools.combinations((1, 2, 3), 2):
-        assert not poset.leq(a, b) and not poset.leq(b, a)
+    # the atoms lie above the zero alone
+    assert poset.down == {0: [], 1: [0], 2: [0], 3: [0]}
     assert len(poset.longest_chain()) == 2
 
 

@@ -26,7 +26,7 @@ from semitop.builders import (
     prodcenter,
     stream_corpus,
 )
-from semitop.core import Budget, CarrierSet, bounded_view
+from semitop.core import Budget, CarrierSet, bounded_view, build_stream
 from semitop.errors import (
     BadParameter,
     CertificationFailed,
@@ -337,6 +337,22 @@ def test_a_dropped_base_frees_its_members_without_a_collection(kind):
         assert gone() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("kind", "EHZ")
+def test_a_member_without_a_center_test_screens_by_the_quotient_first(monkeypatch, kind):
+    # without a center test, centrality is a commutation test against the
+    # window's generators: only codes in the quotient 1/1 = {1} of the flat
+    # table may pay for it
+    table = flat_finite(8).table
+    S = build_stream("table:9", lambda x, y: table[x][y], lambda: iter(range(9)))
+    base = EBase(S, 1, kind, BUDGET)
+    assert not base.view.central_exact
+    asked, central = [], base.view.central
+    monkeypatch.setattr(base.view, "central", lambda x: asked.append(x) or central(x))
+    members, done = base.member(base.default_params()).prefix(16)
+    assert done and members == [1]
+    assert set(asked) == {1}
 
 
 # -- regularity --------------------------------------------------------------
