@@ -341,7 +341,10 @@ def _first_failure(t, middles):
     found so far, so only one middle's first rows are held."""
     found = None
     for b in middles:
-        restrict, compose = operator.itemgetter(*set(t[b])), operator.itemgetter(*t[b])
+        # an itemgetter of one key returns the entry itself; the one row of
+        # the 1x1 table is its own restriction and composite
+        restrict, compose = ((operator.itemgetter(*set(t[b])), operator.itemgetter(*t[b]))
+                             if len(t) > 1 else (tuple, tuple))
         first = {}
         for a, ta in enumerate(t if found is None else t[:found[0]]):
             z = ta[b]
@@ -483,7 +486,7 @@ class Prefix:
         self.mul, self.budget, self.depth = S.mul, budget, max(budget.elements, budget.steps)
         # membership in a stream's carrier is not decided
         self.pool = CarrierSet(None, S.enumerate_carrier)
-        self._oracle, self._center_fn = S.division_oracle, _center_test(S)
+        self.division_oracle, self._center_fn = S.division_oracle, _center_test(S)
         self._central, self._subgroup = {}, {}
 
     @cached_property
@@ -520,10 +523,35 @@ class Prefix:
     @cached_property
     def central_order(self):
         """The natural order on ``central_idempotents`` as down-lists: each
-        f maps to the other g with g*f == f*g == g, in pool order."""
-        mul, pool = self.mul, self.central_idempotents
-        return {f: [g for g in pool if g != f and mul(g, f) == g and mul(f, g) == g]
+        f maps to the other g with g*f == f*g == g, in pool order.  With a
+        center test they commute, so g*f == g decides at one product."""
+        mul, pool, one = self.mul, self.central_idempotents, self.central_exact
+        return {f: [g for g in pool if g != f and mul(g, f) == g and (one or mul(f, g) == g)]
                 for f in pool}
+
+    def leq(self, g, f):
+        """g <= f, g*f == f*g == g: read off ``central_order`` when both
+        are indexed, else at two products."""
+        order = self.central_order
+        if g in order and f in order:
+            return g == f or g in order[f]
+        return self.mul(g, f) == g and self.mul(f, g) == g
+
+    def above_some(self, F):
+        """The test of f: some g in F has g <= f.  An indexed f is looked up
+        in the up-set of F's indexed members, read off ``central_order``
+        once, and tested by ``leq`` against F's others."""
+        order = self.central_order
+        inside = {g for g in F if g in order}
+        up = {f for f, down in order.items() if f in inside or not inside.isdisjoint(down)}
+        rest = [g for g in F if g not in inside]
+
+        def test(f):
+            if f in order:
+                return f in up or (bool(rest) and any(self.leq(g, f) for g in rest))
+            return any(self.leq(g, f) for g in F)
+
+        return test
 
     @property
     def central_exact(self):
@@ -620,8 +648,8 @@ class Prefix:
         for f in self.idempotents:
             if mul(f, x) == x and mul(x, f) == x:
                 witnesses = pre
-                if self._oracle is not None:
-                    quotient, dry = self._oracle(f, x).prefix(len(pre))
+                if self.division_oracle is not None:
+                    quotient, dry = self.division_oracle(f, x).prefix(len(pre))
                     if dry:
                         witnesses = [v for v in quotient if v in self._code_set]
                 for v in witnesses:
@@ -646,11 +674,13 @@ class Prefix:
 
 class _FinitePrefix(Prefix):
     """The exhausted case: ``codes``, ``idempotents``, ``center``,
-    ``central`` and the subgroup maps read off the handle, the center from
-    the transpose of the table and the subgroups from its orbit table.
+    ``central``, ``central_order`` and the subgroup maps read off the
+    handle, the center from the transpose of the table, the order from its
+    rows and the subgroups from its orbit table.
     ``pool`` ranges over the codes 0..n-1, and ``depth`` takes them all."""
 
     exact = central_exact = True
+    division_oracle = None
 
     def __init__(self, S, budget=DEFAULT_BUDGET):
         self.S, self.mul, self.budget = S, S.mul, budget
@@ -668,6 +698,10 @@ class _FinitePrefix(Prefix):
     @cached_property
     def _center_set(self):
         return frozenset(self.S.center_codes)
+
+    @cached_property
+    def central_order(self):
+        return _table_order(self.S.table, self.central_idempotents)
 
     def central(self, x):
         return x in self._center_set
@@ -714,13 +748,12 @@ def central_idempotents(S, budget=DEFAULT_BUDGET):
 
 @dataclass
 class IdempotentPoset:
-    """The natural partial order e <= f iff ef == fe == e, on a finite set
-    of idempotents (possibly just a stream prefix, then ``exact`` is False).
-    ``down`` maps each element to the others below it, in element order."""
+    """The natural partial order e <= f iff ef == fe == e, on the
+    idempotents of a finite handle.  ``down`` maps each element to the
+    others below it, in element order."""
 
     elements: tuple
     down: dict
-    exact: bool = True
 
     def longest_chain(self):
         """One longest chain, listed bottom to top: the first longest in
@@ -748,19 +781,20 @@ class IdempotentPoset:
         return tuple(reversed(out))
 
 
-def natural_order(S, budget=DEFAULT_BUDGET):
-    """Natural partial order on the idempotents the view finds, as the
-    down-list of each."""
-    found = idempotents(S, budget)
-    elems, exact = tuple(found.elements), found.exact
-    if is_finite(S):
-        t = S.table
-        down = {e: [f for f in elems if t[f][e] == f == t[e][f] and f != e] for e in elems}
-    else:
-        mul = S.mul
-        down = {y: [x for x in elems if mul(x, y) == x and mul(y, x) == x and x != y]
-                for y in elems}
-    return IdempotentPoset(elements=elems, down=down, exact=exact)
+def natural_order(S):
+    """The natural partial order on the idempotents of a finite handle, as
+    the down-list of each; a stream's order is its view's
+    ``central_order``."""
+    _require_finite(S, "natural_order")
+    return IdempotentPoset(S.idempotent_codes, _table_order(S.table, S.idempotent_codes))
+
+
+def _table_order(t, elems):
+    """The natural order on the idempotents ``elems`` of the table ``t`` as
+    down-lists, each e mapping to the other f with f*e == e*f == f in the
+    order of ``elems``, read off the rows at no product."""
+    return {e: [f for f in elems if row[f] == f != e and t[f][e] == f]
+            for e, row in zip(elems, map(t.__getitem__, elems))}
 
 
 # ---------------------------------------------------------------------------

@@ -368,9 +368,50 @@ class ReportDocument:
 
 
 def render_report(doc):
-    # sort_keys makes key order independent of construction order; no
-    # timestamps anywhere, so identical runs give identical bytes
-    return json.dumps(doc.to_dict(), sort_keys=True, indent=2) + "\n"
+    """The bytes of ``json.dumps(doc.to_dict(), sort_keys=True, indent=2)``
+    and a newline, so identical runs give identical bytes, written by
+    ``_render``: the standard library's indented encoder is pure Python and
+    leaves its closures as cyclic garbage."""
+    out = []
+    _render(doc.to_dict(), "\n", out)
+    return "".join(out) + "\n"
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _render(value, pad, out):
+    """Append ``value`` as ``json.dumps(value, sort_keys=True, indent=2)``
+    writes it after ``pad``, a line break and indentation.  A list of plain
+    ints is joined in one go; floats and empty containers go to json."""
+    inner = pad + "  "
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None or value is True or value is False:
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif not isinstance(value, (list, tuple, dict)) or not value:
+        out.append(json.dumps(value))
+    elif isinstance(value, dict):
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            if not isinstance(key, (str, int, float)) and key is not None:
+                raise TypeError(f"keys must be str, int, float, bool or None, "
+                                f"not {type(key).__name__}")
+            out.append(sep + _quote(key if isinstance(key, str) else json.dumps(key)) + ": ")
+            _render(item, inner, out)
+            sep = "," + inner
+        out.append(pad + "}")
+    elif all(type(item) is int for item in value):
+        out.append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + pad + "]")
+    else:
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _render(item, inner, out)
+            sep = "," + inner
+        out.append(pad + "]")
 
 
 def write_report(doc, path):

@@ -243,7 +243,7 @@ def chain_finite(S, budget=DEFAULT_BUDGET):
     idempotent order.  On streams a long-enough chain refutes."""
     view = bounded_view(S, budget)
     if view.exact:
-        longest = natural_order(S, budget=budget).longest_chain()
+        longest = natural_order(S).longest_chain()
         return _settle(S, "chain_finite", view, HOLDS,
                        {"kind": "finite", "longest_idempotent_chain": list(longest)})
     found, best = _chain_search(S, budget)

@@ -44,30 +44,45 @@ from .predicates import FAILS, HOLDS, UNKNOWN, Verdict
 NONISOLATION_TAU = 32
 
 
-def _leq(S, x, y):
-    """Natural order among idempotents: x <= y iff xy == yx == x."""
-    return S.mul(x, y) == x and S.mul(y, x) == x
-
-
 # ---------------------------------------------------------------------------
 # left quotients and shifts
 
-def left_quotient(S, b, e, budget=DEFAULT_BUDGET):
-    """The set {x : x*e == b} of left factors carrying e to b.
+def left_quotients(S, e, budget=DEFAULT_BUDGET):
+    """The map b -> b/e = {x : x*e == b} of left factors carrying e to b.
 
     Membership is always decided exactly; what varies is the enumerator.
-    Finite handles and streams with a division oracle (the contract is on
-    ``StreamSemigroup``) list the whole set, in carrier order.  Other
-    streams filter the view's pool to its ``depth``, in the same order, so
-    their prefix is complete only if the carrier ran dry inside it."""
+    A division oracle (the contract is on ``StreamSemigroup``) lists each
+    quotient whole, in carrier order.  Otherwise the view's pool is grouped
+    by x*e in one pass to its ``depth``, on first use, and each quotient
+    lists its group in pool order, complete only if the pool ran dry.  Each
+    b/e is built once."""
     if S.mul(e, e) != e:
         raise NotIdempotent(f"{e} is not idempotent")
-    if is_finite(S):
-        return CarrierSet.of(x for x in S.elements() if S.mul(x, e) == b)
-    if S.division_oracle is not None:
-        return S.division_oracle(b, e)
     view = bounded_view(S, budget)
-    return view.pool.where(lambda x: S.mul(x, e) == b, view.depth)
+    oracle, mul, pool, depth = view.division_oracle, S.mul, view.pool, view.depth
+    groups, quotients = None, {}
+
+    def grouped(b):
+        nonlocal groups
+        if groups is None:
+            by_image = {}
+            for x in pool.walk(depth):
+                by_image.setdefault(mul(x, e), []).append(x)
+            groups = by_image
+        members = groups.get(b, ())
+        return CarrierSet(lambda x: mul(x, e) == b, lambda: iter(members), (pool, depth))
+
+    def quotient(b):
+        if b not in quotients:
+            quotients[b] = grouped(b) if oracle is None else oracle(b, e)
+        return quotients[b]
+
+    return quotient
+
+
+def left_quotient(S, b, e, budget=DEFAULT_BUDGET):
+    """The set b/e = {x : x*e == b}; see ``left_quotients``."""
+    return left_quotients(S, e, budget)(b)
 
 
 class _ProductScan:
@@ -208,11 +223,13 @@ class EBase:
     view at the base's budget (``view``), so every base and certificate on
     one handle scans the center once.
 
-    A base computes each product of a certificate at most once: it keeps
-    one member per parameter set, one left quotient and one
+    A base computes each product of a certificate at most once: it admits
+    each code once for all its members (``_admission``), which then filter
+    the admitted codes by F alone, through the view's order index; it
+    keeps one member per parameter set, one left quotient and one
     ``ShiftNeighborhood`` per point and parameter set, the regularity
     columns, the parameter pool and the parameter sets already checked.
-    These memos hold the handle and the members but never the base, so a
+    These memos hold the handle and the view but never the base, so a
     dropped base still frees everything at once."""
 
     def __init__(self, S, e, kind="E", budget=DEFAULT_BUDGET):
@@ -230,8 +247,9 @@ class EBase:
         self.budget = budget
         if not self.view.central(e):
             raise BadParameter(f"{e} is not central (at bound)")
+        self._admission = _admission(S, e, kind, view, budget)
+        self._quotient = left_quotients(S, e, budget)
         self._memo_members = {}
-        self._quotients = {}
         self._neighborhoods = {}
         self._columns = {}
         self._checked = set()
@@ -241,13 +259,13 @@ class EBase:
     def _check_f(self, F):
         if F in self._checked:
             return
-        S = self.S
+        S, view = self.S, self.view
         for f in F:
             if S.mul(f, f) != f:
                 raise BadParameter(f"parameter {f} is not idempotent")
-            if _leq(S, f, self.e):
+            if view.leq(f, self.e):
                 raise BadParameter(f"parameter {f} lies below the anchor {self.e}")
-            if self.kind in ("E", "H") and not self.view.central(f):
+            if self.kind in ("E", "H") and not view.central(f):
                 raise BadParameter(f"parameter {f} is not central (at bound)")
         self._checked.add(F)
 
@@ -274,7 +292,7 @@ class EBase:
     def _pool(self):
         view = self.view
         pool = view.idempotents if self.kind == "Z" else view.central_idempotents
-        return tuple(f for f in pool if not _leq(self.S, f, self.e))
+        return tuple(f for f in pool if not view.leq(f, self.e))
 
     def sample_params(self, rng, count, max_f=4):
         """Deterministic parameter sample; the unconstrained member first.
@@ -302,83 +320,46 @@ class EBase:
     # -- membership machinery
 
     def member(self, params):
-        """The instantiated basic set as a lazy CarrierSet read off the first
-        ``view.depth`` codes of the view's pool: kinds E and H filter them,
-        kind Z takes powers of those it filters.  Its tests close over the
-        handle, anchor and view, not over the base, and kind Z's test
-        reaches its own set by a weak reference, so no member is in a
+        """The instantiated basic set as a lazy CarrierSet read off the
+        admitted codes: kinds E and H keep those whose idempotent lies above
+        no member of F, kind Z takes powers of those.  Its tests close over
+        the admission memo and the view, not over the base, and kind Z's
+        test reaches its own set by a weak reference, so no member is in a
         reference cycle: a dropped base frees its members, and the tables
         they reach, at once."""
         params = self.normalize(params)
         if params in self._memo_members:
             return self._memo_members[params]
-        S, e, view, budget = self.S, self.e, self.view, self.budget
-        central, depth = view.central, view.depth
+        S, view, budget = self.S, self.view, self.budget
+        admit, admitted = self._admission
+        # the admitted codes are at most view.depth, so a reader of one more
+        # finds their end, and with it whether the pool ran dry
+        reach = view.depth + 1
+        n, F = params if self.kind == "Z" else (None, params)
 
-        def in_quotient(x):
-            return S.mul(x, e) == e
+        above_some = view.above_some(F)
 
-        def above_some(F, f):
-            return any(_leq(S, g, f) for g in F)
+        def pred(x):
+            f = admit(x)
+            return f is not None and not above_some(f)
 
-        def and_central(test):
-            """test(x) and central(x), centrality first when a center test
-            makes it free; otherwise test's products screen x before the
-            window's commutation test."""
-            if view.central_exact:
-                return lambda x: central(x) and test(x)
-            return lambda x: test(x) and central(x)
-
-        if self.kind == "E":
-            F = params
-            admits = and_central(lambda x: in_quotient(x) and S.mul(x, x) == x)
-
-            def pred(x):
-                return admits(x) and not above_some(F, x)
-
-            out = view.pool.where(pred, depth)
-        elif self.kind == "H":
-            F = params
-            admits = and_central(in_quotient)
-
-            def pred(x):
-                if not admits(x):
-                    return False
-                f = view.subgroup_idempotent(x)
-                return f is not None and not above_some(F, f)
-
-            out = view.pool.where(pred, depth)
+        if n is None:
+            out = admitted.where(pred, reach)
         else:
-            n, F = params
-            admits = and_central(in_quotient)
-
-            def qualifies(z):
-                if not admits(z):
-                    return False
-                pp = power_projection(S, z, budget)
-                return (pp.status == "defined" and central(pp.idempotent)
-                        and not above_some(F, pp.idempotent))
-
             def gen():
                 seen = set()
-                for z in filter(qualifies, view.pool.walk(depth)):
+                for z in filter(pred, admitted.walk(reach)):
                     y = power(S, z, n)
                     if y not in seen:
                         seen.add(y)
                         yield y
 
             # members are the first budget.elements values gen() yields
-            out = CarrierSet(None, gen, (view.pool, depth))
+            out = CarrierSet(None, gen, (admitted, reach))
             own = weakref.ref(out)
             out.member = lambda y: own().among_first(y, budget.elements)
         self._memo_members[params] = out
         return out
-
-    def _quotient(self, b):
-        """The left quotient b/e at the base's budget, built once per b."""
-        if b not in self._quotients:
-            self._quotients[b] = left_quotient(self.S, b, self.e, self.budget)
-        return self._quotients[b]
 
     def neighborhood(self, b, params):
         """The shift {b} | (b/e)*V of the member V at ``params``, one per
@@ -392,18 +373,52 @@ class EBase:
         return self._neighborhoods[key]
 
 
+def _admission(S, e, kind, view, budget):
+    """The kind test of ``EBase``'s members, run once per code: ``admit``
+    maps a central x in e/e to x itself for kind E (when idempotent), to
+    x's subgroup idempotent for kind H, to the central idempotent x's powers
+    reach for kind Z, and any other code to None.  Centrality goes first
+    when a center test makes it free.  Also returns the admitted codes among
+    the first ``view.depth`` of the view's pool, read lazily."""
+    mul, memo = S.mul, {}
+
+    def screen(x):
+        return mul(x, e) == e and (kind != "E" or mul(x, x) == x)
+
+    def idempotent(x):
+        if kind != "Z":
+            return x if kind == "E" else view.subgroup_idempotent(x)
+        pp = power_projection(S, x, budget)
+        return pp.idempotent if pp.status == "defined" and view.central(pp.idempotent) else None
+
+    def admit(x):
+        if x not in memo:
+            if view.central_exact:
+                passes = view.central(x) and screen(x)
+            else:
+                passes = screen(x) and view.central(x)
+            memo[x] = idempotent(x) if passes else None
+        return memo[x]
+
+    return admit, view.pool.where(lambda x: admit(x) is not None, view.depth)
+
+
 # ---------------------------------------------------------------------------
 # regularity
 
-def _least_fixing_idempotent(S, b, pool):
-    """The least member of {x in pool : b*x == b}, via the semilattice
-    product of all of them (the pool holds central idempotents)."""
-    fixing = [x for x in pool if S.mul(b, x) == b]
+def _least_fixing_idempotent(view, b):
+    """The least central idempotent x of the view with b*x == b, via the
+    semilattice product of all of them.  With a center test that is b
+    itself when b is one of them: b*x == b makes b <= x for central x."""
+    if view.central_exact and b in view.central_order:
+        return b
+    mul = view.mul
+    fixing = [x for x in view.central_idempotents if mul(b, x) == b]
     if not fixing:
         return None
     least = fixing[0]
     for x in fixing[1:]:
-        least = S.mul(least, x)
+        least = mul(least, x)
     return least
 
 
@@ -449,8 +464,8 @@ def is_regular(base, b):
     be = S.mul(b, e)
     if be == b:
         raise Inapplicable("b is fixed by e; nothing to separate")
-    least = _least_fixing_idempotent(S, b, base.view.central_idempotents)
-    if least is not None and _leq(S, least, e):
+    least = _least_fixing_idempotent(base.view, b)
+    if least is not None and base.view.leq(least, e):
         raise CertificationFailed(
             "regularity-construction",
             {"b": b, "least": least, "note": "fixing idempotent below anchor"})

@@ -340,17 +340,45 @@ FINITE_DIGESTS = {
 }
 
 
+def _finite_argv(fixtures_dir, command, target):
+    if target.endswith(".cayley"):
+        return [command, str(fixtures_dir / target)]
+    if command == "enumerate":
+        return [command, *target.split()]
+    return [command, "--builder", target]
+
+
 @pytest.mark.parametrize("command,target", sorted(FINITE_DIGESTS))
 def test_finite_reports_match_the_golden_digests(capsys, fixtures_dir, command, target):
-    if target.endswith(".cayley"):
-        argv = [str(fixtures_dir / target)]
-    elif command == "enumerate":
-        argv = target.split()
-    else:
-        argv = ["--builder", target]
-    code, out, _ = run(capsys, command, *argv)
+    code, out, _ = run(capsys, *_finite_argv(fixtures_dir, command, target))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == FINITE_DIGESTS[command, target]
+
+
+GOLDEN_REPORTS = ([("fixture", "streams-64-1024.json")]
+                  + [key for key in sorted(FINITE_DIGESTS) if not key[1].startswith("5")]
+                  + [("topology", f"{builder} {kind}") for builder, kind in sorted(TOPOLOGY_DIGESTS)])
+
+
+@pytest.mark.parametrize("command,target", GOLDEN_REPORTS)
+def test_golden_reports_are_the_bytes_of_json_dumps(capsys, fixtures_dir, tmp_path,
+                                                    command, target):
+    # reports are rendered by a writer of their own; each golden report must
+    # be what json.dumps writes for its parse.  Order 5 (1.6 s) is left to
+    # its digests, which json.dumps wrote
+    out_file = tmp_path / "report.json"
+    if command == "fixture":
+        out_file = fixtures_dir / target
+    elif command == "topology":
+        builder, kind = target.split()
+        assert run(capsys, "topology", "--builder", builder, "--kind", kind,
+                   "--budget-elems", "64", "--budget-steps", "1024",
+                   "--out", str(out_file))[0] == 0
+    else:
+        argv = _finite_argv(fixtures_dir, command, target)
+        assert run(capsys, *argv, "--out", str(out_file))[0] == 0
+    text = out_file.read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
 
 def _large_tables():

@@ -53,6 +53,7 @@ from semitop.core import (
 )
 from semitop.corpus import enumerate_classes, enumerate_finite
 from semitop.errors import (
+    BadParameter,
     MalformedTable,
     NonAssociative,
 )
@@ -220,12 +221,18 @@ def test_every_corrupted_cell_of_a_small_table_raises_the_naive_first_triple(mak
         assert err.value.triple == first
 
 
-@given(st.integers(2, 6), st.data())
+def test_the_row_loop_passes_the_one_element_table():
+    # a one-code row read at one key is still a row: an itemgetter of one
+    # index returns the entry itself, which once failed the 1x1 table
+    assert core._first_failure(((0,),), [0]) is None
+    assert core._first_failure(((0,),), []) is None
+    assert core._associates(((0,),), [0])
+
+
+@given(st.integers(1, 6), st.data())
 def test_the_bytes_decider_agrees_with_the_row_loop(n, data):
     # entries drawn from the first k codes give rows of few distinct
-    # values, so that many rows share the decider's key.  The row loop
-    # needs two codes (an itemgetter of one index returns a scalar); the
-    # one 1x1 table is checked on its own
+    # values, so that many rows share the decider's key
     k = data.draw(st.integers(1, n))
     flat = data.draw(st.lists(st.integers(0, k - 1), min_size=n * n, max_size=n * n))
     table = tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
@@ -437,6 +444,16 @@ def test_a_dropped_stream_frees_its_views_without_a_collection():
         assert handle() is None and gone() is None
     finally:
         gc.enable()
+
+
+def test_natural_order_is_read_off_a_finite_table_only():
+    # a stream's order is its view's central_order
+    with pytest.raises(BadParameter):
+        natural_order(flat_stream())
+    # on a commutative table every idempotent is central, so the view's
+    # index is the whole order
+    S = flat_finite(3)
+    assert natural_order(S).down == bounded_view(S).central_order
 
 
 def test_natural_order_on_flat_has_incomparable_atoms():

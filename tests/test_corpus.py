@@ -3,10 +3,12 @@
 import gc
 import hashlib
 import itertools
+import json
 import re
 from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 import oracle_brute as ob
 
@@ -249,6 +251,37 @@ def test_report_rendering_is_stable(tmp_path):
     assert render_report(doc).endswith("\n")
 
 
+_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats()
+           | st.text(st.characters(), max_size=8))
+
+
+def _containers(children):
+    return (st.lists(children, max_size=4) | st.lists(children, max_size=3).map(tuple)
+            | st.dictionaries(st.text(max_size=4), children, max_size=4)
+            | st.dictionaries(st.integers(), children, max_size=3))
+
+
+@given(st.dictionaries(st.text(max_size=4), st.recursive(_LEAVES, _containers, max_leaves=24)),
+       st.lists(st.recursive(_LEAVES, _containers, max_leaves=24), max_size=4))
+def test_a_report_renders_to_the_bytes_of_json_dumps(config, entries):
+    # nested empty containers, escapes, non-ASCII text, bools, None, NaN
+    # and infinities, tuples and int keys, and lists of plain ints
+    doc = ReportDocument(config=config, entries=entries)
+    assert render_report(doc) == json.dumps(doc.to_dict(), sort_keys=True, indent=2) + "\n"
+
+
+def test_rendering_leaves_no_cyclic_garbage(fixtures_dir):
+    # the standard library's indented encoder left its closures behind
+    doc = read_report(fixtures_dir / "streams-64-1024.json")
+    gc.collect()
+    gc.disable()
+    try:
+        render_report(doc)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("mangle", [
     lambda d: d.pop("schema_version"),
     lambda d: d.__setitem__("schema_version", 99),
@@ -257,7 +290,6 @@ def test_report_rendering_is_stable(tmp_path):
     lambda d: d.pop("tool"),
 ])
 def test_schema_mismatch_detection(tmp_path, mangle):
-    import json
     doc = _document(tmp_path)
     data = doc.to_dict()
     mangle(data)

@@ -18,6 +18,7 @@ from semitop.builders import (
     flat_finite,
     flat_stream,
     intadd,
+    left_zero,
     m3,
     natmin,
     natplus,
@@ -26,7 +27,16 @@ from semitop.builders import (
     prodcenter,
     stream_corpus,
 )
-from semitop.core import Budget, CarrierSet, bounded_view, build_stream
+from semitop.core import (
+    Budget,
+    CarrierSet,
+    adjoin_zero,
+    bounded_view,
+    build_stream,
+    is_finite,
+    power,
+    power_projection,
+)
 from semitop.errors import (
     BadParameter,
     CertificationFailed,
@@ -43,6 +53,7 @@ from semitop.topology import (
     find_nonisolated_idempotent,
     is_regular,
     left_quotient,
+    left_quotients,
     replay_certificate,
     shift,
     topologizability_verdict,
@@ -88,6 +99,35 @@ def test_division_oracle_matches_brute_force(make):
                 # every member lies in the window, which brute force reads
                 window = range(max(members, default=0) + 1)
                 assert members == [x for x in window if S.mul(x, y) == b], (b, y)
+
+
+def _table_stream(n):
+    """The flat table of n + 1 codes as a stream with no center test and a
+    carrier that runs dry."""
+    table = flat_finite(n).table
+    return build_stream(f"table:{n + 1}", lambda x, y: table[x][y], lambda: iter(range(n + 1)))
+
+
+GROUPED_CASES = [("nullstream", nullstream(), 0),
+                 ("natmin without its oracle", dataclasses.replace(natmin(), division_oracle=None), 5),
+                 ("table:9", _table_stream(8), 1), ("m3", m3(), 2), ("flat:7", flat_finite(7), 0)]
+
+
+@pytest.mark.parametrize("name,S,e", GROUPED_CASES, ids=[case[0] for case in GROUPED_CASES])
+def test_grouped_quotients_match_a_filter_of_the_pool(name, S, e):
+    # without a division oracle one pass groups the pool by x*e; each b/e
+    # must list, decide and end as a filter of the pool to the depth does
+    budget = Budget(64, 1024)
+    quotient = left_quotients(S, e, budget)
+    view = bounded_view(S, budget)
+    points = view.pool.first(40)
+    for b in points[:20]:
+        q = quotient(b)
+        reference = view.pool.where(lambda x: S.mul(x, e) == b, view.depth)
+        assert quotient(b) is q
+        for limit in (1, 4, 2000):
+            assert q.prefix(limit) == reference.prefix(limit), (b, limit)
+        assert [q.member(y) for y in points] == [reference.member(y) for y in points]
 
 
 def test_left_quotient_uses_division_oracle():
@@ -355,6 +395,122 @@ def test_a_member_without_a_center_test_screens_by_the_quotient_first(monkeypatc
     assert set(asked) == {1}
 
 
+def _two_product_leq(S, g, f):
+    return S.mul(g, f) == g and S.mul(f, g) == g
+
+
+def _reference_member(S, e, kind, params, budget):
+    """A member as its own filter of the view's pool: every code put through
+    the whole kind test, every order question through two products."""
+    view = bounded_view(S, budget)
+    mul, central = S.mul, view.central
+
+    def admits(x):
+        return central(x) and mul(x, e) == e
+
+    def above_some(F, f):
+        return any(_two_product_leq(S, g, f) for g in F)
+
+    if kind == "Z":
+        n, F = params
+
+        def qualifies(z):
+            if not admits(z):
+                return False
+            pp = power_projection(S, z, budget)
+            return (pp.status == "defined" and central(pp.idempotent)
+                    and not above_some(F, pp.idempotent))
+
+        def gen():
+            seen = set()
+            for z in filter(qualifies, view.pool.walk(view.depth)):
+                y = power(S, z, n)
+                if y not in seen:
+                    seen.add(y)
+                    yield y
+
+        out = CarrierSet(None, gen, (view.pool, view.depth))
+        out.member = lambda y: out.among_first(y, budget.elements)
+        return out
+
+    def pred(x):
+        if not admits(x):
+            return False
+        f = (x if mul(x, x) == x else None) if kind == "E" else view.subgroup_idempotent(x)
+        return f is not None and not above_some(params, f)
+
+    return view.pool.where(pred, view.depth)
+
+
+# the zero of leftzero:2+zero is central, and its quotient holds the two
+# left zeros, which are not
+MEMBER_CASES = [("natmin", natmin(), (0, 5, 40)), ("prodcenter", prodcenter(), (2, 5, 8))] + [
+    (name, S, [e for e in S.idempotent_codes if e in S.center_codes])
+    for name, S in standard_finite_corpus() + [("leftzero:2+zero", adjoin_zero(left_zero(2)))]
+    if name in ("flat:7", "chain:4", "groupunion:2,3", "leftzero:2+zero")]
+
+
+@pytest.mark.parametrize("name,S,anchors", MEMBER_CASES,
+                         ids=[case[0] for case in MEMBER_CASES])
+def test_members_match_a_filter_per_parameter_set(name, S, anchors):
+    # a base admits each code once for all its members and reads the order
+    # off the view's index; every member must answer as its own filter does
+    budget = Budget(64, 1024)
+    stream = not is_finite(S)
+    points = bounded_view(S, budget).pool.first(80) + ([200, 1023, 1024, 5000] if stream else [])
+    for e, kind in itertools.product(anchors, "EHZ"):
+        base = EBase(S, e, kind, budget)
+        # the reference reads a view of its own
+        plain = dataclasses.replace(S) if stream else S
+        for params in base.sample_params(random.Random(e), 6, max_f=4):
+            params = base.normalize(params)
+            member = base.member(params)
+            reference = _reference_member(plain, e, kind, params, budget)
+            assert [member.member(y) for y in points] == [
+                reference.member(y) for y in points], (e, kind, params)
+            for limit in (1, 8, 64, 2000):
+                assert member.prefix(limit) == reference.prefix(limit), (e, kind, params, limit)
+
+
+# -- the order index ---------------------------------------------------------
+
+ORDER_CASES = standard_finite_corpus() + stream_corpus()
+
+
+@pytest.mark.parametrize("budget", [Budget(64, 1024), BUDGET], ids=["64", "256"])
+@pytest.mark.parametrize("name,S", ORDER_CASES, ids=[name for name, _ in ORDER_CASES])
+def test_order_index_is_the_two_product_relation(name, S, budget):
+    # a finite view reads the index off its table, a stream with a center
+    # test fills it at one product per pair, any other at two
+    if not is_finite(S):
+        S = dataclasses.replace(S)
+    view = bounded_view(S, budget)
+    pool = view.central_idempotents
+    assert view.central_order == {
+        f: [g for g in pool if g != f and _two_product_leq(S, g, f)] for f in pool}
+    # leq and above_some read it for indexed codes and multiply for others:
+    # codes past the view's first budget.elements and non-central idempotents
+    past = view.pool.first(budget.elements + 6)[budget.elements:]
+    others = [x for x in view.idempotents if x not in pool][:4]
+    sample = list(pool[:12]) + past + others
+    for f, g in itertools.product(sample, repeat=2):
+        assert view.leq(g, f) == _two_product_leq(S, g, f), (g, f)
+    for F in (sample[:1], sample[1:5], sample[-4:], sample[::3]):
+        above_some = view.above_some(F)
+        for f in sample:
+            assert above_some(f) == any(_two_product_leq(S, g, f) for g in F), (F, f)
+
+
+def test_order_index_of_a_view_without_a_center_test():
+    # without a center test the window's centrality may over-accept, so the
+    # index keeps both products
+    S = _table_stream(8)
+    view = bounded_view(S, BUDGET)
+    assert not view.central_exact
+    assert view.central_order == {0: [], **{f: [0] for f in range(1, 9)}}
+    assert view.leq(0, 3) and not view.leq(3, 0) and not view.leq(2, 3)
+
+
 # -- regularity --------------------------------------------------------------
 
 def test_moved_point_is_separated_from_the_anchor():
@@ -476,7 +632,7 @@ def test_commutative_verdict_stays_under_its_multiplication_ceiling(make):
 @pytest.mark.parametrize("make,ceiling", [(natmin, 100_000), (flat_stream, 70_000),
                                           (prodcenter, 22_000)])
 def test_verdict_builds_one_central_order(make, ceiling):
-    # 98,176, 68,609 and 10,966 products; building the up-set table of the
+    # 65,536, 66,052 and 7,396 products; building the up-set table of the
     # central idempotents twice (once per chain search, once per anchor
     # selection) about doubles each, and testing prodcenter's codes against
     # the window's generators, not reading its center off its factors,
@@ -493,7 +649,8 @@ def test_shift_laws_hold_on_the_finite_corpus():
 
 
 def test_flat_certification_stays_under_its_multiplication_ceiling():
-    # each certificate costs 85-99 k products and its replay 54-72 k; the
+    # each certificate costs 78-88 k products, 65 k of them for the view's
+    # order index, and its replay, which finds the index built, 8-13 k; the
     # ceilings catch a regularity grid rescanned for every moved point or
     # a neighborhood rebuilt on every call (about 0.4 M), a member set
     # enumerated afresh on every prefix, a center scan per sampled moved
@@ -511,7 +668,7 @@ def test_flat_certification_stays_under_its_multiplication_ceiling():
 
 
 def test_flat_subgroup_base_certifies_at_a_small_budget():
-    # kinds E and Z take 70 k and 40 k products here, kind H 104 k:
+    # kinds E and Z take 48 k and 26 k products here, kind H 83 k:
     # its member holds the 64 view codes with a subgroup certificate, and
     # its scan for more stops at the view's 1024 codes
     budget = Budget(64, 1024)
@@ -523,7 +680,9 @@ def test_flat_subgroup_base_certifies_at_a_small_budget():
 @pytest.mark.parametrize("kind", "EH")
 def test_null_stream_certifies_at_its_zero(kind):
     # `semitop topology --builder nullstream --e 0`: each kind takes about
-    # 0.58 M products here, though the basic set at 0 is {0}
+    # 13,700 products here.  The ceiling catches a left quotient scanned
+    # over the view's 4,096 codes once per point, not grouped once per base
+    # (0.58 M), and a member that tests each code again for every parameter
     budget = Budget(256, 4096)
-    S = capped(nullstream(), 1_000_000)
+    S = capped(nullstream(), 30_000)
     certify_topology(S, 0, EBase(S, 0, kind, budget), budget=budget, seed=0)
