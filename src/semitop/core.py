@@ -260,37 +260,52 @@ def build_finite(table, labels=None):
     with a witness triple if some (a*b)*c differs from a*(b*c): the
     lexicographically first such triple.
 
+    A table of at most 256 codes whose rows are ``bytes``, as
+    ``parse_cayley`` reads them, is checked in C: each row's length, and
+    one ``translate`` that deletes every code from the joined rows must
+    leave nothing.  Any other table, or a bytes table that fails, takes
+    the loop, which names the first bad row or entry.
+
     Associativity is Light's test (Clifford & Preston, *The Algebraic
     Theory of Semigroups* I, section 1.2): the middles m with (x*m)*y ==
     x*(m*y) for all x, y are closed under the product, so checking the
     middles of one generating set suffices.  Up to 256 codes the rows are
-    ``bytes``, and ``_associates`` reads a row through another with one
+    ``bytes``, the checked rows themselves when they came as bytes, and
+    ``_associates`` reads a row through another with one
     ``bytes.translate``, mapped over the rows in C; larger tables take the
     row loop of ``_first_failure``.  Either way a failing table is then
     scanned over every middle by ``_first_failure``, which names the
     lexicographically first triple.
     """
-    rows = [tuple(row) for row in table]
+    rows = list(table)
     n = len(rows)
     if n == 0:
         raise MalformedTable("empty table")
-    codes = frozenset(range(n))
-    for row in rows:
-        if len(row) != n:
-            raise MalformedTable(f"row of length {len(row)} in a table of size {n}")
-        # a row of plain ints in range passes in C, in about half the time of
-        # the loop; any other row takes the loop, which names the first bad
-        # entry and accepts ints' subclasses
-        if list(map(type, row)).count(int) == n and codes.issuperset(row):
-            continue
-        for v in row:
-            if not isinstance(v, int) or not 0 <= v < n:
-                raise MalformedTable(f"entry {v!r} out of range 0..{n - 1}")
-    t = tuple(rows)
+    encoded = (n <= 256 and all(type(row) is bytes and len(row) == n for row in rows)
+               and not b"".join(rows).translate(None, bytes(range(n))))
+    t = tuple(map(tuple, rows))
+    if not encoded:
+        codes = frozenset(range(n))
+        for row in t:
+            if len(row) != n:
+                raise MalformedTable(f"row of length {len(row)} in a table of size {n}")
+            # a row of plain ints in range passes in C, in about half the time
+            # of the loop; any other row takes the loop, which names the first
+            # bad entry and accepts ints' subclasses
+            if list(map(type, row)).count(int) == n and codes.issuperset(row):
+                continue
+            for v in row:
+                if not isinstance(v, int) or not 0 <= v < n:
+                    raise MalformedTable(f"entry {v!r} out of range 0..{n - 1}")
     # (a*b)*c == a*(b*c) for all c at once: row a*b must equal row a read
     # through row b.  Only a failing table pays for the scan over every
     # middle, which finds the first triple.
-    if not _associates(t, generators(t)):
+    gens = generators(t)
+    if n > 256:
+        associates = _first_failure(t, gens) is None
+    else:
+        associates = _associates(rows if encoded else list(map(bytes, t)), gens)
+    if not associates:
         a, b = _first_failure(t, range(n))
         c = next(c for c in range(n) if t[t[a][b]][c] != t[a][t[b][c]])
         raise NonAssociative(a, b, c)
@@ -303,25 +318,21 @@ def build_finite(table, labels=None):
     return FiniteSemigroup(table=t, labels=labels)
 
 
-def _associates(t, middles):
+def _associates(rows, middles):
     """Whether row a*b equals row a read through row b for every code a
     and every b in ``middles``: (a*b)*c == a*(b*c) for all a, c.
 
-    Up to 256 codes a row is ``bytes``, padded to a translation table
-    whose byte v is a*v, so row a read through row b is
-    ``rows[b].translate(pads[a])``.  Row a read through row b depends
-    only on row a at the image I_b of row b.  So each row is first read at
-    b and at I_b, ``key.translate(pads[a])`` with key = b then I_b: rows
-    with one key have one product a*b and read alike through row b, and
-    one row per key is read in full.  Larger tables take
-    ``_first_failure``."""
-    if len(t) > 256:
-        return _first_failure(t, middles) is None
-    rows = list(map(bytes, t))
+    ``rows`` are the table's rows as ``bytes``, so at most 256 codes.
+    Each is padded to a translation table whose byte v is a*v, so row a
+    read through row b is ``rows[b].translate(pads[a])``.  Row a read
+    through row b depends only on row a at the image I_b of row b.  So
+    each row is first read at b and at I_b, ``key.translate(pads[a])``
+    with key = b then I_b: rows with one key have one product a*b and read
+    alike through row b, and one row per key is read in full."""
     # the padding is never read: translation looks up codes only
     pads = [row.ljust(256) for row in rows]
     for b in middles:
-        key = bytes((b, *set(t[b])))
+        key = bytes((b, *set(rows[b])))
         by_key = dict(zip(map(key.translate, pads), pads))
         if (list(map(rows[b].translate, by_key.values()))
                 != [rows[k[0]] for k in by_key]):

@@ -46,11 +46,16 @@ _TOKEN = re.compile(r"\S+")
 def _content_lines(text):
     """Yield (line_number, stripped_content) for lines that carry data.
 
-    Comments start at '#' and run to end of line.  Character offsets within
-    the returned content match the original line, so token columns reported
+    Lines break at "\n", "\r\n" and "\r" only, as ``Path.read_text``
+    hands them over, so line numbers in errors are the file's; the other
+    breaks of ``str.splitlines`` (form feed, vertical tab, U+2028, ...)
+    are whitespace within a line, as the row reader takes them.  Comments
+    start at '#' and run to end of line.  Character offsets within the
+    returned content match the original line, so token columns reported
     in errors point at the file as written.
     """
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         cut = raw.find("#")
         content = raw if cut < 0 else raw[:cut]
         if content.strip():
@@ -71,17 +76,24 @@ def _int_token(token, lineno, column, upper=None):
     return value
 
 
-def _row(content, lineno, size):
-    """One table row of ``size`` indices.  ``str.split`` and the token
-    regex break on the same whitespace and both read tokens with ``int``,
-    so the token path is taken only to locate and word the error."""
-    try:
-        row = list(map(int, content.split()))
-    except ValueError:
-        row = None
-    if row and len(row) == size and 0 <= min(row) and max(row) < size:
-        return row
-    return _token_row(content, lineno, size)
+def _row(content, lineno, index):
+    """One table row: ``bytes`` up to 256 codes, a list of ints above.
+
+    ``index`` maps the decimal spelling ``str(i)`` of each code i to i, so
+    a row of such tokens is read in C.  A row with any other token (one
+    ``int`` reads, such as ``+1``, ``007`` or ``1_0``, or a bad one) or of
+    the wrong length takes the token path, which reads with ``int`` and
+    words the first error; ``str.split`` and the token regex break on the
+    same whitespace."""
+    size = len(index)
+    pack = bytes if size <= 256 else list
+    split = content.split()
+    if len(split) == size:
+        try:
+            return pack(map(index.__getitem__, split))
+        except KeyError:
+            pass
+    return pack(_token_row(content, lineno, size))
 
 
 def _token_row(content, lineno, size):
@@ -121,6 +133,7 @@ def parse_cayley(text):
         raise ParseError(f"expected {size} labels, found {len(toks)}", lineno, col)
     labels = [t for t, _ in toks]
 
+    index = {str(i): i for i in range(size)}
     rows = []
     last_line = lineno
     for _ in range(size):
@@ -129,7 +142,7 @@ def parse_cayley(text):
             raise ParseError(
                 f"expected {size} table rows, found {len(rows)}", last_line + 1, 1)
         last_line = lineno
-        rows.append(_row(content, lineno, size))
+        rows.append(_row(content, lineno, index))
 
     extra = next(lines, None)
     if extra is not None:

@@ -809,7 +809,7 @@ def topologizability_verdict(S, budget=DEFAULT_BUDGET):
     topology, witnessed by a shift topology at a non-isolated anchor?
 
     Holds needs the central semilattice to be chain-finite (declared;
-    search can only refute) and infinite (declared, with prefix
+    search neither proves nor refutes it) and infinite (declared, with prefix
     evidence), plus a successful anchor selection.  Finite carriers are
     Unknown-inapplicable: the question concerns infinite carriers."""
     if is_finite(S):
@@ -823,13 +823,9 @@ def topologizability_verdict(S, budget=DEFAULT_BUDGET):
     chain = _chain_evidence(view.central_order, budget.elements)
     missing = []
 
-    # a chain of ``elements`` codes proves no infinite chain, so it refutes
-    # only where chain-finiteness is not declared
-    if len(chain) >= budget.elements and declared.get("ez_chain_finite") is not True:
-        chain_v = Verdict(FAILS, "search",
-                          {"kind": "chain", "length": len(chain),
-                           "elements": chain[:8]}, budget)
-    elif "ez_chain_finite" in declared:
+    # a chain of ``elements`` codes proves no infinite chain, so search
+    # refutes nothing: only a declaration decides
+    if "ez_chain_finite" in declared:
         value = bool(declared["ez_chain_finite"])
         chain_v = Verdict(HOLDS if value else FAILS, "declared",
                           {"kind": "declared", "fact": "ez_chain_finite",
@@ -860,7 +856,8 @@ def topologizability_verdict(S, budget=DEFAULT_BUDGET):
         return Verdict(UNKNOWN, "search",
                        {"kind": "missing_hypotheses", "missing": missing,
                         "ez_chain_finite": chain_v.status,
-                        "ez_infinite": infinite_v.status}, budget,
+                        "ez_infinite": infinite_v.status,
+                        "chain": chain_v.witness}, budget,
                        note="hypotheses not established: " + ", ".join(missing))
     try:
         e, evidence = find_nonisolated_idempotent(S, budget)

@@ -1,4 +1,7 @@
-"""The finite test corpus and table relabeling, shared by the suites."""
+"""The finite test corpus, the large tables of the finite-ingest shapes,
+table relabeling and Cayley text, shared by the suites."""
+
+import random
 
 from semitop.builders import (
     chain_semilattice,
@@ -50,3 +53,30 @@ def relabeled_table(table, perm):
         for j in range(n):
             out[perm[i]][perm[j]] = perm[table[i][j]]
     return tuple(tuple(row) for row in out)
+
+
+def large_tables():
+    """Tables of order 100-256 in the shapes of the finite-ingest workload,
+    each relabeled by a permutation seeded with its name."""
+    made = {
+        "chain-128": lambda: chain_semilattice(128),
+        "flat-100": lambda: flat_finite(99),
+        "leftzero1xcyclic-200": lambda: direct_product(adjoin_identity(left_zero(4)),
+                                                       cyclic_group(40)),
+        "cyclicprod-256": lambda: direct_product(cyclic_group(16), cyclic_group(16)),
+        "monogenic0-224": lambda: adjoin_zero(monogenic(100, 124)),
+        "groupunion-160": lambda: group_union([20, 33, 47, 59]),
+    }
+    for name, make in made.items():
+        table = make().table
+        perm = list(range(len(table)))
+        random.Random(name).shuffle(perm)
+        yield name, relabeled_table(table, perm)
+
+
+def cayley_text(table):
+    """Cayley text of ``table`` with labels x0, x1, ..., one row a line,
+    as the finite-ingest workload writes its files."""
+    n = len(table)
+    return "\n".join([str(n), " ".join(f"x{i}" for i in range(n))]
+                     + [" ".join(map(str, row)) for row in table]) + "\n"

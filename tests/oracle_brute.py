@@ -7,6 +7,7 @@ no code with the package.  Only usable at tiny sizes.
 
 import itertools
 import math
+import re
 
 
 def is_associative(t):
@@ -195,3 +196,111 @@ def longest_chain(t):
         if len(climb(e)) > len(out):
             out = climb(e)
     return tuple(out)
+
+
+def parse_cayley_reference(text):
+    """Cayley text read token by token with ``int``, as the package read it
+    before rows went through an index of decimal spellings; lines break at
+    "\\n", "\\r\\n" and "\\r" only.
+
+    Returns ("table", rows, labels) for an associative table,
+    ("non_associative", (a, b, c)) with the lexicographically first
+    failing triple, or ("parse_error", message, line, column)."""
+    try:
+        rows, labels = _reference_rows(text)
+    except _ReferenceParseError as err:
+        message, line, column = err.args
+        return "parse_error", f"line {line}, column {column}: {message}", line, column
+    triple = first_nonassociative_triple(rows)
+    if triple is not None:
+        return "non_associative", triple
+    return "table", rows, labels
+
+
+class _ReferenceParseError(Exception):
+    pass
+
+
+def _reference_rows(text):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    content_lines = ((lineno, raw.split("#", 1)[0])
+                     for lineno, raw in enumerate(lines, start=1))
+    content_lines = ((lineno, c) for lineno, c in content_lines if c.strip())
+
+    def tokens(content):
+        return [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", content)]
+
+    def integer(token, lineno, column, upper=None):
+        try:
+            value = int(token)
+        except ValueError:
+            raise _ReferenceParseError(f"expected an integer, found {token!r}",
+                                       lineno, column) from None
+        if upper is not None and not 0 <= value < upper:
+            raise _ReferenceParseError(f"index {value} out of range 0..{upper - 1}",
+                                       lineno, column)
+        return value
+
+    lineno, content = next(content_lines, (None, None))
+    if content is None:
+        raise _ReferenceParseError("empty input: expected a size line", 1, 1)
+    toks = tokens(content)
+    if len(toks) != 1:
+        tok, col = toks[1]
+        raise _ReferenceParseError(f"size line must hold one token, found {tok!r} too",
+                                   lineno, col)
+    tok, col = toks[0]
+    size = integer(tok, lineno, col)
+    if size < 1:
+        raise _ReferenceParseError(f"size must be positive, found {size}", lineno, col)
+
+    lineno, content = next(content_lines, (None, None))
+    if content is None:
+        raise _ReferenceParseError("missing label line", 2, 1)
+    toks = tokens(content)
+    if len(toks) != size:
+        col = toks[size][1] if len(toks) > size else len(content) + 1
+        raise _ReferenceParseError(f"expected {size} labels, found {len(toks)}",
+                                   lineno, col)
+    labels = tuple(t for t, _ in toks)
+
+    rows = []
+    last_line = lineno
+    for _ in range(size):
+        lineno, content = next(content_lines, (None, None))
+        if content is None:
+            raise _ReferenceParseError(
+                f"expected {size} table rows, found {len(rows)}", last_line + 1, 1)
+        last_line = lineno
+        toks = tokens(content)
+        if len(toks) != size:
+            col = toks[size][1] if len(toks) > size else len(content) + 1
+            raise _ReferenceParseError(f"row must hold {size} entries, found {len(toks)}",
+                                       lineno, col)
+        rows.append(tuple(integer(t, lineno, col, upper=size) for t, col in toks))
+
+    extra = next(content_lines, None)
+    if extra is not None:
+        lineno, content = extra
+        raise _ReferenceParseError("unexpected content after the table", lineno,
+                                   tokens(content)[0][1])
+    return tuple(rows), labels
+
+
+_associative = set()
+
+
+def first_nonassociative_triple(t):
+    """The first (a, b, c) in lexicographic order with (ab)c != a(bc), or
+    None; comparing row ab with row a read through row b.  Associative
+    tables are remembered, since a whole scan at order 257 takes about a
+    second."""
+    if t in _associative:
+        return None
+    n = len(t)
+    for a in range(n):
+        for b in range(n):
+            if t[t[a][b]] != tuple(t[a][x] for x in t[b]):
+                return a, b, next(c for c in range(n) if t[t[a][b]][c] != t[a][t[b][c]])
+    _associative.add(t)
+    return None

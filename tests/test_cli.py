@@ -4,11 +4,12 @@ import argparse
 import gc
 import hashlib
 import json
-import random
 import runpy
 import sys
 
 import pytest
+
+from finite_corpus import cayley_text, large_tables
 
 from semitop import cli
 from semitop.corpus import read_report
@@ -381,30 +382,6 @@ def test_golden_reports_are_the_bytes_of_json_dumps(capsys, fixtures_dir, tmp_pa
     assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
 
-def _large_tables():
-    """Tables of order 100-256 in the shapes of the finite-ingest workload,
-    each relabeled by a permutation seeded with its name."""
-    from finite_corpus import relabeled_table
-    from semitop.builders import (chain_semilattice, cyclic_group, flat_finite,
-                                  group_union, left_zero, monogenic)
-    from semitop.core import adjoin_identity, adjoin_zero, direct_product
-
-    made = {
-        "chain-128": lambda: chain_semilattice(128),
-        "flat-100": lambda: flat_finite(99),
-        "leftzero1xcyclic-200": lambda: direct_product(adjoin_identity(left_zero(4)),
-                                                       cyclic_group(40)),
-        "cyclicprod-256": lambda: direct_product(cyclic_group(16), cyclic_group(16)),
-        "monogenic0-224": lambda: adjoin_zero(monogenic(100, 124)),
-        "groupunion-160": lambda: group_union([20, 33, 47, 59]),
-    }
-    for name, make in made.items():
-        table = make().table
-        perm = list(range(len(table)))
-        random.Random(name).shuffle(perm)
-        yield name, relabeled_table(table, perm)
-
-
 # sha256 of stdout of `classify` and `predicates` on large relabeled tables:
 # the table check and the finite predicates, the 128-code
 # longest_idempotent_chain witness among them, must keep their bytes
@@ -426,11 +403,9 @@ LARGE_FINITE_DIGESTS = {
 
 @pytest.mark.parametrize("command,name", sorted(LARGE_FINITE_DIGESTS))
 def test_large_finite_reports_match_the_golden_digests(capsys, tmp_path, command, name):
-    table = dict(_large_tables())[name]
-    n = len(table)
+    table = dict(large_tables())[name]
     path = tmp_path / f"{name}.cayley"
-    path.write_text("\n".join([str(n), " ".join(f"x{i}" for i in range(n))]
-                              + [" ".join(map(str, row)) for row in table]) + "\n")
+    path.write_text(cayley_text(table))
     code, out, _ = run(capsys, command, str(path))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == LARGE_FINITE_DIGESTS[command, name]

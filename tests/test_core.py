@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracle_brute as ob
-from finite_corpus import relabeled_table, standard_finite_corpus
+from finite_corpus import cayley_text, relabeled_table, standard_finite_corpus
 from metering import capped, counted
 
 import semitop.core as core
@@ -51,7 +51,7 @@ from semitop.core import (
     power_projection,
     restrict,
 )
-from semitop.corpus import enumerate_classes, enumerate_finite
+from semitop.corpus import enumerate_classes, enumerate_finite, parse_cayley
 from semitop.errors import (
     BadParameter,
     MalformedTable,
@@ -87,6 +87,33 @@ def test_build_finite_words_the_first_bad_entry(table, message):
     with pytest.raises(MalformedTable) as err:
         build_finite(table)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("table,message", [
+    ([[0, 2], [0, 1]], "entry 2 out of range 0..1"),
+    ([[0, 0, 0], [0, 1, 2], [3, 0, 0]], "entry 3 out of range 0..2"),
+    ([[0, 0, 0], [0, 255, 2], [0, 0, 0]], "entry 255 out of range 0..2"),
+    ([[0, 1], [0]], "row of length 1 in a table of size 2"),
+    ([[0, 1], [0, 1, 0]], "row of length 3 in a table of size 2"),
+    # the first bad row is named, whether its entries or its length are bad
+    ([[0, 5], [0]], "entry 5 out of range 0..1"),
+    ([[0], [0, 5]], "row of length 1 in a table of size 2"),
+])
+def test_bytes_rows_are_worded_as_lists_are(table, message):
+    # rows of bytes are checked in C, and a table that fails takes the loop
+    for form in (table, [bytes(row) for row in table], [bytes(table[0])] + table[1:]):
+        with pytest.raises(MalformedTable) as err:
+            build_finite(form)
+        assert str(err.value) == message
+
+
+def test_bytes_rows_give_the_table_of_their_lists():
+    S = build_finite([b"\x00\x01", b"\x01\x00"], ["e", "g"])
+    assert S.table == ((0, 1), (1, 0)) and type(S.table[0]) is tuple
+    assert S.labels == ("e", "g")
+    with pytest.raises(NonAssociative) as err:
+        build_finite([b"\x01\x00", b"\x00\x00"])
+    assert err.value.triple == (0, 0, 1)
 
 
 def test_build_finite_accepts_int_subclasses():
@@ -226,7 +253,7 @@ def test_the_row_loop_passes_the_one_element_table():
     # index returns the entry itself, which once failed the 1x1 table
     assert core._first_failure(((0,),), [0]) is None
     assert core._first_failure(((0,),), []) is None
-    assert core._associates(((0,),), [0])
+    assert core._associates([b"\x00"], [0])
 
 
 @given(st.integers(1, 6), st.data())
@@ -237,7 +264,8 @@ def test_the_bytes_decider_agrees_with_the_row_loop(n, data):
     flat = data.draw(st.lists(st.integers(0, k - 1), min_size=n * n, max_size=n * n))
     table = tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
     middles = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
-    assert core._associates(table, middles) == (core._first_failure(table, middles) is None)
+    assert (core._associates(list(map(bytes, table)), middles)
+            == (core._first_failure(table, middles) is None))
 
 
 @pytest.mark.parametrize("make,bytes_path", [
@@ -264,6 +292,26 @@ def test_tables_at_the_bytes_boundary(monkeypatch, make, bytes_path):
     with pytest.raises(NonAssociative) as err:
         build_finite(rows)
     assert err.value.triple == first
+
+
+def test_a_257_code_table_read_from_text_takes_the_row_loop(monkeypatch):
+    # above 256 codes the reader gives list rows and the table check keeps
+    # the row loop; one corrupted cell still raises the first triple
+    table = cyclic_group(257).table
+    loops = []
+    inner = core._first_failure
+    monkeypatch.setattr(core, "_first_failure",
+                        lambda t, middles: loops.append(len(middles)) or inner(t, middles))
+    monkeypatch.setattr(core, "_associates", None)
+    assert parse_cayley(cayley_text(table)).table == table
+    assert len(loops) == 1
+    rows = [list(row) for row in table]
+    rng = random.Random(257)
+    x, y = rng.randrange(257), rng.randrange(257)
+    rows[x][y] = (rows[x][y] + 1 + rng.randrange(256)) % 257
+    with pytest.raises(NonAssociative) as err:
+        parse_cayley(cayley_text(rows))
+    assert err.value.triple == _naive_first_triple(tuple(map(tuple, rows))) == (1, 161, 210)
 
 
 def test_cyclic_group_of_order_256_checks_two_middles(monkeypatch):

@@ -8,12 +8,16 @@ import re
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import oracle_brute as ob
+from finite_corpus import cayley_text, large_tables
+
+import semitop.core as core
+import semitop.corpus as corpus
 
 from semitop import builders
-from semitop.core import Budget
+from semitop.core import Budget, build_finite
 from semitop.corpus import (
     _TOKEN,
     _row,
@@ -85,10 +89,15 @@ def _row_outcome(read, content, size):
         return str(err), err.line, err.column
 
 
+_CODES_257 = " ".join(map(str, range(257)))
+
+
 @pytest.mark.parametrize("content,size", [
     ("0 1 2", 3),
     ("-1 0 1", 3),         # negative index
     ("+1 0 1", 3),         # int() takes a sign
+    ("-0 0 1", 3),
+    ("007 0 1", 8),        # ... and leading zeros
     ("1_0 0 1", 11),       # ... and digit separators
     ("1_0 0 1", 3),
     ("\u0663 0 1", 4),     # ... and non-ASCII digits (ARABIC-INDIC THREE)
@@ -97,6 +106,7 @@ def _row_outcome(read, content, size):
     ("0\t1\t2", 3),
     ("0\v1\x0c2", 3),
     ("0\x1c1\x1f2\u3000", 3),
+    ("0\x851\u20282", 3),
     ("  0  1   2  ", 3),
     ("0 1", 3),            # short
     ("0 1 2 0", 3),        # long
@@ -104,9 +114,160 @@ def _row_outcome(read, content, size):
     ("0 1 x", 3),
     ("0 1 3", 3),          # out of range
     ("  0  9   1", 3),
+    pytest.param(" ".join(map(str, range(256))), 256, id="256-codes"),
+    pytest.param(" ".join(map(str, range(1, 257))), 256, id="256-codes-out-of-range"),
+    # above 256 codes a row is a list
+    pytest.param(_CODES_257, 257, id="257-codes"),
+    pytest.param(_CODES_257.replace(" 7 ", " +7 "), 257, id="257-codes-signed"),
+    pytest.param(_CODES_257.replace(" 7 ", " 257 "), 257, id="257-codes-out-of-range"),
+    pytest.param(_CODES_257 + " 0", 257, id="257-codes-long"),
 ])
 def test_split_row_reading_matches_the_token_path(content, size):
-    assert _row_outcome(_row, content, size) == _row_outcome(_token_row, content, size)
+    # a row of decimal spellings is read through the index; every other
+    # row reads and fails as the token path does, and up to 256 codes the
+    # row is bytes
+    index = {str(i): i for i in range(size)}
+    row = _row_outcome(lambda content, lineno, size: _row(content, lineno, index),
+                       content, size)
+    expected = _row_outcome(_token_row, content, size)
+    if isinstance(expected, list):
+        assert type(row) is (bytes if size <= 256 else list)
+        row = list(row)
+    assert row == expected
+
+
+@pytest.mark.parametrize("text,line", [
+    ("2\na b\n0\x0c1\n1 0\n", None),           # a form feed inside a row
+    ("2\na b\n0 1\n1 0\n# c\x0bmore\n", None),  # a vertical tab inside a comment
+    ("2\na\x85b\n0 1\n1 0\n", None),            # NEL between labels
+    ("2\ra b\r\n0\u20281\r1\x1e0\n", None),
+    ("2\na b\n0\u20281\n1 0\n1 0\n", 5),       # the trailing row is the file's line 5
+    ("2\r\na b\r\n0 1\r\n1 0\r\n1 0\r\n", 5),
+    ("2\ra b\r0 1\r1 0\r\r1 0\r", 6),
+])
+def test_lines_break_only_at_newline_and_carriage_return(text, line):
+    # str.splitlines() also breaks at \v, \f, \x1c-\x1e, \x85, \u2028 and
+    # \u2029, which the row reader takes as whitespace; this once rejected
+    # the first text, read the second's comment tail as content and counted
+    # one label in the third
+    if line is None:
+        S = parse_cayley(text)
+        assert S.table == ((0, 1), (1, 0)) and S.labels == ("a", "b")
+    else:
+        with pytest.raises(ParseError) as err:
+            parse_cayley(text)
+        assert (err.value.line, err.value.column) == (line, 1)
+        assert "unexpected content after the table" in str(err.value)
+
+
+def _parse_outcome(text):
+    try:
+        S = parse_cayley(text)
+    except ParseError as err:
+        return "parse_error", str(err), err.line, err.column
+    except NonAssociative as err:
+        return "non_associative", err.triple
+    return "table", S.table, S.labels
+
+
+_BASE_TABLES = {
+    "cyclic": lambda i, j, n: (i + j) % n,
+    "zero": lambda i, j, n: 0,
+    "left_zero": lambda i, j, n: i,
+    "min": lambda i, j, n: min(i, j),
+}
+
+
+@st.composite
+def _cayley_texts(draw):
+    """Cayley text of order 1-6 or 257: a table (associative, or drawn at
+    random) in decimal spellings, with a few cells respelled as int reads
+    them or broken, rows cut short or run long, comments, blank lines and
+    mixed line breaks and whitespace."""
+    n = draw(st.sampled_from((1, 2, 3, 4, 5, 6, 257)))
+    kind = "cyclic" if n > 6 else draw(st.sampled_from(sorted(_BASE_TABLES) + ["random"]))
+    if kind == "random":
+        flat = draw(st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n))
+        cells = [flat[i * n:(i + 1) * n] for i in range(n)]
+    else:
+        cells = [[_BASE_TABLES[kind](i, j, n) for j in range(n)] for i in range(n)]
+    tokens = [list(map(str, row)) for row in cells]
+
+    def cell():
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        return tokens[i], j, cells[i][j]
+
+    for _ in range(draw(st.integers(0, 4))):    # the same code, spelled as int reads it
+        row, j, v = cell()
+        row[j] = draw(st.sampled_from([
+            f"+{v}", f"00{v}", f"0_{v}", "-0" if v == 0 else f"+0{v}",
+            "".join(chr(0x660 + int(d)) for d in str(v))]))
+    for _ in range(draw(st.sampled_from([0, 0, 1]))):    # another code
+        row, j, v = cell()
+        row[j] = str((v + 1) % n)
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1]))):    # a bad token
+        row, j, v = cell()
+        row[j] = draw(st.sampled_from([str(n), str(n + 7), "-1", f"-{v + 1}", f"{v}_0",
+                                       "1_0", "x", "0x1", "1.0"]))
+    if draw(st.sampled_from([False] * 4 + [True])):    # a long or short row
+        row = tokens[draw(st.integers(0, n - 1))]
+        if draw(st.booleans()):
+            row.append("0")
+        else:
+            row.pop()
+    size = draw(st.sampled_from([str(n)] * 8 + [f"+{n}", f"0{n}", str(n + 1), "0", "y"]))
+    labels = [f"x{i}" for i in range(n + draw(st.sampled_from([0] * 8 + [-1, 1])))]
+    space = draw(st.sampled_from([" ", "  ", "\t", "\x0c", "\v", "\x1c", "\x85",
+                                  "\u2028", "\u3000"]))
+    lines = [size, " ".join(labels)] + [space.join(row) for row in tokens]
+    if draw(st.sampled_from([False] * 4 + [True])):
+        lines.append(space.join(tokens[0]))     # trailing content
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines)))
+        lines.insert(at, draw(st.sampled_from(["", "   ", "# note", "\t# 0 1\x0b2"])))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(lines) - 1))
+        lines[at] += " # trailing"
+    ends = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = ends.join(lines)
+    return text + draw(st.sampled_from(["", ends]))
+
+
+@settings(deadline=None)
+@given(_cayley_texts())
+def test_parse_cayley_matches_the_token_reader(text):
+    # the same table and labels, the same ParseError message and position,
+    # or the same first non-associative triple as reading every token with
+    # int, whichever spellings, whitespace and line breaks the text uses
+    assert _parse_outcome(text) == ob.parse_cayley_reference(text)
+
+
+def test_finite_ingest_tables_read_without_the_token_path(monkeypatch):
+    # the six finite-ingest shapes are written in decimal spellings, so
+    # every row is read through the index; a token read would cost each
+    # row an int() call per entry again
+    token_rows = []
+    monkeypatch.setattr(corpus, "_token_row",
+                        lambda *args: token_rows.append(args) or _token_row(*args))
+    for name, table in large_tables():
+        assert parse_cayley(cayley_text(table)).table == table, name
+    assert token_rows == []
+
+
+def test_parsed_rows_reach_lights_test_as_read(monkeypatch):
+    # the bytes rows of the reader are checked and read by Light's test
+    # as they are, not rebuilt from the table's tuples
+    table = dict(large_tables())["cyclicprod-256"]
+    parsed, tested = [], []
+    monkeypatch.setattr(corpus, "build_finite",
+                        lambda rows, labels: parsed.append(rows) or build_finite(rows, labels))
+    inner = core._associates
+    monkeypatch.setattr(core, "_associates",
+                        lambda rows, middles: tested.append(rows) or inner(rows, middles))
+    assert parse_cayley(cayley_text(table)).table == table
+    [rows] = parsed
+    assert all(type(row) is bytes for row in rows)
+    assert len(tested) == 1 and all(a is b for a, b in zip(tested[0], rows, strict=True))
 
 
 def test_split_and_the_token_regex_agree_on_whitespace():

@@ -44,7 +44,7 @@ from semitop.errors import (
     NotFound,
     NotIdempotent,
 )
-from semitop.predicates import HOLDS, UNKNOWN
+from semitop.predicates import FAILS, HOLDS, UNKNOWN
 from semitop.topology import (
     CertificationSample,
     EBase,
@@ -598,6 +598,27 @@ def test_topologizability_verdicts():
     finite = topologizability_verdict(flat_finite(3))
     assert finite.status == UNKNOWN
     assert finite.witness["kind"] == "inapplicable"
+
+
+@pytest.mark.parametrize("k", [300, 5000])
+def test_a_budget_long_chain_refutes_no_chain_finiteness(k):
+    # the chain 0 < 1 < ... < k-1 under min is chain-finite, yet its first
+    # 256 codes form a chain of the budget's length; undeclared, that leaves
+    # ez_chain_finite unknown (search once refuted it here)
+    S = build_stream(f"chain:{k}", min, lambda: iter(range(k)))
+    verdict = topologizability_verdict(S, Budget(256, 4096))
+    assert verdict.status == UNKNOWN
+    assert verdict.witness["ez_chain_finite"] == UNKNOWN
+    assert verdict.witness["chain"] == {"kind": "chain_at_bound", "length": 256}
+
+
+def test_a_declared_infinite_chain_still_refutes_chain_finiteness():
+    verdict = topologizability_verdict(natmin(), Budget(256, 4096))
+    assert verdict.status == UNKNOWN
+    assert verdict.witness["ez_chain_finite"] == FAILS
+    assert verdict.witness["chain"] == {"kind": "declared", "fact": "ez_chain_finite",
+                                        "value": False,
+                                        "evidence": {"longest_chain_found": 256}}
 
 
 @pytest.mark.parametrize("make,budget", [(flat_stream, Budget(2, 8)), (intadd, Budget(1, 1)),
