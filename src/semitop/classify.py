@@ -28,6 +28,7 @@ from .predicates import (
     UNKNOWN,
     Verdict,
     _declared,
+    _guard_declaration,
     conjunction_status,
     evaluate_suite,
     negation_status,
@@ -41,6 +42,12 @@ THEOREM_RULES = {
     "injective_T1S": ("commutative", "bounded", "nonsingular", "clifford_finite"),
     "injective_T2S": ("chain_finite", "group_finite", "bounded", "nonsingular",
                       "!clifford_singular"),
+}
+
+# one-idempotent specializations, which agree with the general rules
+UNIPOTENT_RULES = {
+    "unipotent_C_closed": ("bounded", "nonsingular"),
+    "unipotent_injective_C_closed": ("bounded", "nonsingular", "group_finite"),
 }
 
 # sound one-way implications between the classified properties
@@ -79,22 +86,18 @@ class ClassificationReport:
 
 def finiteness(S, budget=DEFAULT_BUDGET):
     """Is the carrier finite?  Exhaustion of the view's pool within
-    ``elements`` codes certifies yes; infinite streams declare no;
-    otherwise Unknown at bound."""
+    ``elements`` codes certifies yes, and like every search answer must
+    agree with a declared ``finite``; otherwise a declaration decides, else
+    Unknown at bound."""
     if is_finite(S):
         return Verdict(HOLDS, "finite", {"kind": "finite", "size": S.size}, budget)
     probe = bounded_view(S, budget).pool.first(budget.elements + 1)
     if len(probe) <= budget.elements:
+        _guard_declaration(S, "finite", HOLDS)
         return Verdict(HOLDS, "search",
                        {"kind": "enumerator_exhausted", "size": len(probe)}, budget)
-    facts = S.declared_facts or {}
-    if "finite" in facts:
-        value = bool(facts["finite"])
-        return Verdict(HOLDS if value else FAILS, "declared",
-                       {"kind": "declared", "fact": "finite", "value": value,
-                        "evidence": {"prefix_at_least": len(probe)}}, budget)
-    return Verdict(UNKNOWN, "search",
-                   {"kind": "prefix_only", "prefix_at_least": len(probe)}, budget)
+    return _declared(S, "finite", budget, {"prefix_at_least": len(probe)}) or Verdict(
+        UNKNOWN, "search", {"kind": "prefix_only", "prefix_at_least": len(probe)}, budget)
 
 
 def center_subsemigroup(S, budget=DEFAULT_BUDGET):
@@ -130,6 +133,7 @@ def center_subsemigroup(S, budget=DEFAULT_BUDGET):
 
 
 def _pick_source(verdicts, status):
+    verdicts = tuple(verdicts)
     if status == FAILS:
         for v in verdicts:
             if v.fails:
@@ -143,18 +147,14 @@ def _pick_source(verdicts, status):
 
 def _conjunction_verdict(suite, criteria, budget, extra_note=""):
     parts = []
-    shown = []
     for crit in criteria:
-        negated = crit.startswith("!")
-        name = crit.lstrip("!")
-        v = suite[name]
-        status = negation_status(v.status) if negated else v.status
+        v = suite[crit.lstrip("!")]
+        status = negation_status(v.status) if crit.startswith("!") else v.status
         parts.append((crit, status, v))
-        shown.append(crit)
     status = conjunction_status(s for _, s, _ in parts)
     witness = {
         "kind": "conjunction",
-        "criteria": shown,
+        "criteria": list(criteria),
         "failing": [c for c, s, _ in parts if s == FAILS],
         "unknown": [c for c, s, _ in parts if s == UNKNOWN],
     }
@@ -164,8 +164,6 @@ def _conjunction_verdict(suite, criteria, budget, extra_note=""):
 
 def _center_blocked(kind, analysis, budget):
     """Definite negative propagated from the center, if any."""
-    if analysis is None:
-        return None
     if kind in ("C_closed", "ideally_projectively_closed"):
         necessary = analysis.closed_necessary
     else:
@@ -206,10 +204,13 @@ def center_necessary_conditions(S, budget=DEFAULT_BUDGET, suite=None):
         small = Budget(elements=min(128, budget.elements),
                        steps=min(2048, budget.steps))
         csuite = evaluate_suite(handle, small)
-        cfin = finiteness(handle, small)
-        if cfin.holds and not (exact or bounded_view(S, budget).pool.dry):
+        if not (exact or bounded_view(S, budget).pool.dry) and len(
+                bounded_view(handle, small).pool.first(small.elements + 1)) <= small.elements:
+            # the handle ran out at the view's depth, not at the center's end
             cfin = Verdict(UNKNOWN, "search",
                            {"kind": "center_probe_capped", "scanned": scanned}, budget)
+        else:
+            cfin = finiteness(handle, small)
         if cfin.status == UNKNOWN:
             cfin = _declared(S, "center_finite", budget) or cfin
     closed = _conjunction_verdict(
@@ -239,53 +240,37 @@ def classify(S, budget=DEFAULT_BUDGET, name=None):
                             budget, note="every image of a finite semigroup is finite")
                     if is_finite(S) else None)
 
-    def rule(kind, criteria):
-        if commutative.holds:
-            theorems[kind] = _conjunction_verdict(suite, criteria, budget)
-            return
-        blocked = finite_image or _center_blocked(kind, center, budget)
-        if blocked is not None:
-            theorems[kind] = blocked
-            return
+    def inapplicable(source, note, **fields):
+        return Verdict(UNKNOWN, source, {"kind": "inapplicable",
+                                         "commutative": commutative.status, **fields},
+                       budget, note=note)
+
+    def does_not_apply(kind, reason, **fields):
+        """A rule that needs commutativity: refuted by a finite image or the
+        center when they can, else Unknown, saying why."""
         note = ("commutativity unknown" if commutative.status == UNKNOWN
-                else "noncommutative: equivalence unavailable, center passes")
-        theorems[kind] = Verdict(UNKNOWN, commutative.source,
-                                 {"kind": "inapplicable",
-                                  "commutative": commutative.status}, budget,
-                                 note=note)
+                else "noncommutative: " + reason)
+        return (finite_image or _center_blocked(kind, center, budget)
+                or inapplicable(commutative.source, note, **fields))
 
     for kind, criteria in THEOREM_RULES.items():
-        rule(kind, criteria)
+        theorems[kind] = (_conjunction_verdict(suite, criteria, budget) if commutative.holds
+                          else does_not_apply(kind, "equivalence unavailable, center passes"))
 
     # absolute closedness: for commutative inputs, exactly finiteness
-    if commutative.holds:
-        status = fin.status
-        witness = {"kind": "finiteness", "finite": fin.status,
-                   "center_finite": center.center_finite.status,
-                   "evidence": fin.witness}
-        theorems["absolute_T1S"] = Verdict(status, fin.source, witness, budget)
-    else:
-        blocked = finite_image or _center_blocked("absolute_T1S", center, budget)
-        theorems["absolute_T1S"] = blocked or Verdict(
-            UNKNOWN, commutative.source,
-            {"kind": "inapplicable", "commutative": commutative.status,
-             "center_finite": center.center_finite.status}, budget,
-            note="noncommutative: finiteness rule needs commutativity")
+    theorems["absolute_T1S"] = (
+        Verdict(fin.status, fin.source,
+                {"kind": "finiteness", "finite": fin.status,
+                 "center_finite": center.center_finite.status, "evidence": fin.witness},
+                budget) if commutative.holds
+        else does_not_apply("absolute_T1S", "finiteness rule needs commutativity",
+                            center_finite=center.center_finite.status))
 
-    # one-idempotent specializations agree with the general rules
-    if unip.holds and commutative.holds:
-        theorems["unipotent_C_closed"] = _conjunction_verdict(
-            suite, ("bounded", "nonsingular"), budget)
-        theorems["unipotent_injective_C_closed"] = _conjunction_verdict(
-            suite, ("bounded", "nonsingular", "group_finite"), budget)
-    else:
-        why = "inapplicable: needs one idempotent and commutativity"
-        for kind in ("unipotent_C_closed", "unipotent_injective_C_closed"):
-            theorems[kind] = Verdict(UNKNOWN, unip.source,
-                                     {"kind": "inapplicable",
-                                      "unipotent": unip.status,
-                                      "commutative": commutative.status},
-                                     budget, note=why)
+    for kind, criteria in UNIPOTENT_RULES.items():
+        theorems[kind] = (
+            _conjunction_verdict(suite, criteria, budget) if unip.holds and commutative.holds
+            else inapplicable(unip.source, "inapplicable: needs one idempotent and commutativity",
+                              unipotent=unip.status))
 
     report = ClassificationReport(
         name=name or getattr(S, "name", f"finite[{getattr(S, 'size', '?')}]"),

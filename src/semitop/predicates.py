@@ -78,7 +78,9 @@ class Verdict:
 
 
 def conjunction_status(statuses):
-    """Three-valued AND: any Fails wins, all Holds needed for Holds."""
+    """Three-valued AND: any Fails wins, all Holds needed for Holds.
+    ``statuses`` may be any iterable; it is read once."""
+    statuses = tuple(statuses)
     if any(s == FAILS for s in statuses):
         return FAILS
     if all(s == HOLDS for s in statuses):

@@ -24,6 +24,7 @@ from functools import cached_property
 from .core import (
     DEFAULT_BUDGET,
     CarrierSet,
+    IdempotentPoset,
     bounded_view,
     central_idempotents,
     is_finite,
@@ -37,7 +38,7 @@ from .errors import (
     NotFound,
     NotIdempotent,
 )
-from .predicates import FAILS, HOLDS, UNKNOWN, Verdict
+from .predicates import HOLDS, UNKNOWN, Verdict, _declared
 
 # evidence threshold: an up-set this large at the bound counts as
 # "infinite-looking" when hunting for a non-isolated idempotent
@@ -776,34 +777,6 @@ def _upset_sizes(down):
     return sizes
 
 
-def _chain_evidence(down, target):
-    """Longest descending chain found greedily in the order given by the
-    down-lists ``down``.
-
-    Descends one covering step at a time by always picking the element
-    with the smallest up-set among those below, so that a totally ordered
-    pool yields its full length rather than collapsing to the bottom."""
-    if not down:
-        return []
-    sizes = _upset_sizes(down)
-    seeds = sorted(down, key=lambda f: (sizes[f], f))[:4]
-    best = []
-    for seed in seeds:
-        chain = [seed]
-        current = seed
-        while len(chain) < target:
-            below = down[current]
-            if not below:
-                break
-            current = min(below, key=lambda c: (sizes[c], c))
-            chain.append(current)
-        if len(chain) > len(best):
-            best = chain
-        if len(best) >= target:
-            break
-    return best
-
-
 def topologizability_verdict(S, budget=DEFAULT_BUDGET):
     """Does S carry a nondiscrete Hausdorff zero-dimensional semigroup
     topology, witnessed by a shift topology at a non-isolated anchor?
@@ -817,36 +790,21 @@ def topologizability_verdict(S, budget=DEFAULT_BUDGET):
         return Verdict(UNKNOWN, "finite",
                        {"kind": "inapplicable", "ez_size": len(ez)}, budget,
                        note="finite carrier: any topology of interest is discrete")
-    declared = S.declared_facts or {}
     view = bounded_view(S, budget)
     pool = view.central_idempotents
-    chain = _chain_evidence(view.central_order, budget.elements)
+    # the pool is at most ``elements`` codes, so is the chain
+    chain = len(IdempotentPoset(pool, view.central_order).longest_chain())
     missing = []
 
     # a chain of ``elements`` codes proves no infinite chain, so search
     # refutes nothing: only a declaration decides
-    if "ez_chain_finite" in declared:
-        value = bool(declared["ez_chain_finite"])
-        chain_v = Verdict(HOLDS if value else FAILS, "declared",
-                          {"kind": "declared", "fact": "ez_chain_finite",
-                           "value": value,
-                           "evidence": {"longest_chain_found": len(chain)}},
-                          budget)
-    else:
-        chain_v = Verdict(UNKNOWN, "search",
-                          {"kind": "chain_at_bound", "length": len(chain)}, budget)
+    chain_v = _declared(S, "ez_chain_finite", budget, {"longest_chain_found": chain}) or Verdict(
+        UNKNOWN, "search", {"kind": "chain_at_bound", "length": chain}, budget)
 
     # a prefix with fewer than two central idempotents refutes no infinite
     # semilattice: the count is evidence only
-    if "ez_infinite" in declared:
-        value = bool(declared["ez_infinite"])
-        infinite_v = Verdict(HOLDS if value else FAILS, "declared",
-                             {"kind": "declared", "fact": "ez_infinite",
-                              "value": value,
-                              "evidence": {"prefix_count": len(pool)}}, budget)
-    else:
-        infinite_v = Verdict(UNKNOWN, "search",
-                             {"kind": "prefix_count", "count": len(pool)}, budget)
+    infinite_v = _declared(S, "ez_infinite", budget, {"prefix_count": len(pool)}) or Verdict(
+        UNKNOWN, "search", {"kind": "prefix_count", "count": len(pool)}, budget)
 
     if not chain_v.holds:
         missing.append("ez_chain_finite")

@@ -29,7 +29,7 @@ from semitop.core import (
     direct_product,
 )
 from semitop.corpus import enumerate_finite
-from semitop.errors import BadParameter
+from semitop.errors import BadParameter, CorpusIntegrityError
 from semitop.predicates import FAILS, HOLDS, UNKNOWN, Verdict
 
 BUDGET = Budget(64, 2048)
@@ -176,6 +176,39 @@ def test_small_budgets_never_contradict_a_declared_fact(capsys, name, elements, 
                 "center_finite": report.center.center_finite}
     assert _contradicted(verdicts, S.declared_facts) == {}
     assert _contradicted(report.center.suite or {}, S.center_facts) == {}
+
+
+@pytest.mark.parametrize("budget", [Budget(64, 1024), Budget(256, 4096)])
+@pytest.mark.parametrize("name", ["natplus", "intadd"])
+def test_a_conjunction_with_unknown_criteria_does_not_hold(name, budget):
+    # with only commutativity declared, a conjunction's criteria may all be
+    # unknown; that once read as holds, against the declared stream's fails
+    declared = classify(STREAMS[name], budget).theorems
+    S = dataclasses.replace(STREAMS[name], declared_facts={"commutative": True})
+    # each run takes at most 25,602 products
+    for kind, v in classify(capped(S, 40_000), budget).theorems.items():
+        assert v.status in (UNKNOWN, declared[kind].status), (kind, v.witness)
+        if v.witness["kind"] == "conjunction" and v.witness["unknown"]:
+            assert not v.holds, (kind, v.witness)
+
+
+def test_rules_that_need_commutativity_say_when_it_is_unknown():
+    # absolute_T1S once called a stream of unknown commutativity noncommutative
+    S = dataclasses.replace(STREAMS["natplus"], declared_facts={}, center_facts={})
+    report = classify(S, Budget(64, 1024))
+    assert report.commutative.status == UNKNOWN
+    for kind in THEOREM_KINDS:
+        v = report.theorems[kind]
+        assert v.witness["kind"] == "inapplicable" and v.note == "commutativity unknown", kind
+
+
+def test_a_carrier_that_runs_dry_contradicts_a_declared_infinite_one():
+    # finiteness checks its search answer against a declaration, like every
+    # predicate; it once reported finite and absolute_T1S as holds
+    liar = build_stream("liar", min, lambda: iter(range(5)),
+                        declared_facts={"finite": False, "commutative": True})
+    with pytest.raises(CorpusIntegrityError, match="declared finite=False"):
+        classify(liar, Budget(64, 1024))
 
 
 def test_intadd_classification_stays_under_its_multiplication_ceiling():

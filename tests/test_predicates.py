@@ -72,6 +72,18 @@ def test_three_valued_connectives():
     assert negation_status(UNKNOWN) == UNKNOWN
 
 
+def test_conjunction_status_of_a_generator_or_iterator_reads_it_once():
+    # a generator drained by the Fails check once read as all([]), so every
+    # conjunction with no failing criterion came out Holds
+    rank = {FAILS: 0, UNKNOWN: 1, HOLDS: 2}
+    for n in range(4):
+        for statuses in itertools.product((HOLDS, FAILS, UNKNOWN), repeat=n):
+            want = min(statuses, key=rank.__getitem__, default=HOLDS)
+            assert conjunction_status(s for s in statuses) == want, statuses
+            assert conjunction_status(iter(statuses)) == want, statuses
+            assert conjunction_status(list(statuses)) == want, statuses
+
+
 def test_least_uniform_exponent_matches_oracle():
     for name, S in standard_finite_corpus():
         if S.size > 6:
