@@ -84,6 +84,7 @@ class CarrierSet:
     _codes: list = field(default_factory=list, init=False, repr=False, compare=False)
     _live: Iterator[int] = field(init=False, repr=False, compare=False)
     _ended: bool = field(default=False, init=False, repr=False, compare=False)
+    _at: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._live = self.enumerate_fn()
@@ -111,14 +112,18 @@ class CarrierSet:
         fewer; whether there are ``count``."""
         codes = self._codes
         if len(codes) < count and not self._ended:
+            start = len(codes)
             try:
-                codes.extend(itertools.islice(self._live, count - len(codes)))
+                codes.extend(itertools.islice(self._live, count - start))
             except BaseException:
                 # an enumerator that raised is finished but not exhausted:
                 # the next call starts afresh rather than read it as the end
-                self._codes, self._live = [], self.enumerate_fn()
+                self._codes, self._live, self._at = [], self.enumerate_fn(), None
                 raise
             self._ended = len(codes) < count
+            if self._at is not None:
+                for i in range(start, len(codes)):
+                    self._at.setdefault(codes[i], i)
         return len(codes) >= count
 
     def first(self, limit):
@@ -142,13 +147,16 @@ class CarrierSet:
 
     def among_first(self, y, limit):
         """Whether y is one of the first ``limit`` members; the enumeration
-        advances only until y turns up."""
-        start = 0
-        while y not in itertools.islice(self._codes, start, limit):
-            start = len(self._codes)
-            if start >= limit or not self._fill(start + 1):
+        advances only until y turns up.  The codes read are looked up in a
+        map from each to its first position, made on the first call and
+        kept up by ``_fill``."""
+        if self._at is None:
+            # later positions go in first, so the first one stays
+            self._at = {x: i for i, x in reversed(list(enumerate(self._codes)))}
+        while y not in self._at:
+            if len(self._codes) >= limit or not self._fill(len(self._codes) + 1):
                 return False
-        return True
+        return self._at[y] < limit
 
 
 @dataclass(frozen=True)
@@ -535,32 +543,57 @@ class Prefix:
     def central_order(self):
         """The natural order on ``central_idempotents`` as down-lists: each
         f maps to the other g with g*f == f*g == g, in pool order.  With a
-        center test they commute, so g*f == g decides at one product."""
-        mul, pool, one = self.mul, self.central_idempotents, self.central_exact
-        return {f: [g for g in pool if g != f and mul(g, f) == g and (one or mul(f, g) == g)]
-                for f in pool}
+        center test they commute, so one product m = g*f per unordered pair
+        decides both directions: g <= f if m == g, f <= g if m == f.
+        Without one, each ordered pair takes two products."""
+        mul, pool = self.mul, self.central_idempotents
+        if not self.central_exact:
+            return {f: [g for g in pool if g != f and mul(g, f) == g == mul(f, g)] for f in pool}
+        down = {f: [] for f in pool}
+        # the pairs run through their earlier member in pool order, so f
+        # gets the g before it in pool order, then those after it
+        for g, f in itertools.combinations(pool, 2):
+            m = mul(g, f)
+            if m == g:
+                down[f].append(g)
+            elif m == f:
+                down[g].append(f)
+        return down
+
+    @cached_property
+    def _up_lists(self):
+        """The inverse of ``central_order``: each g maps to the f above it."""
+        up = {g: [] for g in self.central_order}
+        for f, down in self.central_order.items():
+            for g in down:
+                up[g].append(f)
+        return up
 
     def leq(self, g, f):
         """g <= f, g*f == f*g == g: read off ``central_order`` when both
-        are indexed, else at two products."""
+        are indexed.  Otherwise g*f == g, and f*g == g unless a center test
+        (``central_exact``) finds g central, so that g*f == f*g."""
         order = self.central_order
         if g in order and f in order:
             return g == f or g in order[f]
-        return self.mul(g, f) == g and self.mul(f, g) == g
+        return self.mul(g, f) == g and (
+            self.central_exact and self.central(g) or self.mul(f, g) == g)
 
     def above_some(self, F):
-        """The test of f: some g in F has g <= f.  An indexed f is looked up
-        in the up-set of F's indexed members, read off ``central_order``
-        once, and tested by ``leq`` against F's others."""
-        order = self.central_order
-        inside = {g for g in F if g in order}
-        up = {f for f, down in order.items() if f in inside or not inside.isdisjoint(down)}
-        rest = [g for g in F if g not in inside]
+        """The test of f: some g in F has g <= f.  F is read once.  An
+        indexed f is looked up in the up-set of F's indexed members, read
+        off their up-lists once; F's others are tested as ``leq`` tests
+        them, each split once into central (one product) or not (two)."""
+        order, mul, exact = self.central_order, self.mul, self.central_exact
+        F = tuple(F)
+        up = {f for g in F if g in order for f in (g, *self._up_lists[g])}
+        tests = [(g, exact and self.central(g)) for g in F]
+        rest = [(g, one) for g, one in tests if g not in order]
 
         def test(f):
-            if f in order:
-                return f in up or (bool(rest) and any(self.leq(g, f) for g in rest))
-            return any(self.leq(g, f) for g in F)
+            pairs = rest if f in order else tests
+            return f in up or bool(pairs) and any(
+                mul(g, f) == g and (one or mul(f, g) == g) for g, one in pairs)
 
         return test
 

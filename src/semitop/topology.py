@@ -229,7 +229,7 @@ class EBase:
     the admitted codes by F alone, through the view's order index; it
     keeps one member per parameter set, one left quotient and one
     ``ShiftNeighborhood`` per point and parameter set, the regularity
-    columns, the parameter pool and the parameter sets already checked.
+    columns and candidates, the parameter pool and the sets checked.
     These memos hold the handle and the view but never the base, so a
     dropped base still frees everything at once."""
 
@@ -311,6 +311,11 @@ class EBase:
             if p not in out:
                 out.append(p)
         return out
+
+    @cached_property
+    def _regularity_params(self):
+        """The sampled candidates of ``is_regular``, the same at every point."""
+        return self.sample_params(random.Random(0), 6, max_f=3)
 
     def describe(self, params):
         if self.kind == "Z":
@@ -475,8 +480,7 @@ def is_regular(base, b):
         candidates.append((1, (least,) if least is not None else ()))
     else:
         candidates.append((least,) if least is not None else ())
-    rng = random.Random(0)
-    for p in base.sample_params(rng, 6, max_f=3):
+    for p in base._regularity_params:
         if p not in candidates:
             candidates.append(p)
     avoids = _regularity_scan(base, b, be)

@@ -10,7 +10,7 @@ import weakref
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import oracle_brute as ob
 from finite_corpus import cayley_text, relabeled_table, standard_finite_corpus
@@ -354,6 +354,42 @@ def test_carrier_set_enumerates_once_and_answers_as_a_fresh_scan(enumerate_fn):
         members = [y for y in range(-1, 45) if s.among_first(y, k)]
         assert members == sorted(_fresh_prefix(enumerate_fn, k)[0]), k
     assert starts == [1]
+
+
+@given(codes=st.lists(st.integers(0, 9), max_size=20),
+       raise_at=st.integers(0, 20),
+       queries=st.lists(st.tuples(st.integers(-1, 10), st.integers(0, 25)), max_size=20))
+@example(codes=[0, 1, 2, 3], raise_at=2, queries=[(3, 5), (0, 5)])
+@example(codes=[5, 1, 5], raise_at=20, queries=[(5, 3), (9, 3), (5, 1)])
+def test_among_first_answers_as_a_linear_scan(codes, raise_at, queries):
+    # the position index answers as a scan of the first ``limit`` codes,
+    # duplicates included, and reads no further than the scan; after an
+    # enumerator raised once (at ``raise_at``, if it reads that far),
+    # nothing it read is kept
+    starts, read = [], []
+
+    def enumerate_fn():
+        starts.append(1)
+        read.clear()
+        for i, x in enumerate(codes):
+            if i == raise_at and len(starts) == 1:
+                raise RuntimeError("the enumerator fails once")
+            read.append(x)
+            yield x
+
+    s = CarrierSet(lambda x: True, enumerate_fn)
+    before = 0
+    for y, limit in queries:
+        try:
+            found = s.among_first(y, limit)
+        except RuntimeError:
+            before = 0
+            read.clear()
+            continue
+        assert found == (y in codes[:limit]), (y, limit)
+        reach = codes.index(y) + 1 if found else min(limit, len(codes))
+        assert len(read) == max(before, reach), (y, limit)
+        before = len(read)
 
 
 def test_among_first_enumerates_only_as_far_as_its_answer():

@@ -24,14 +24,14 @@ from semitop.topology import EBase, is_regular
 # (topology arguments, multiplications taken)
 TOPOLOGY_CASES = {
     "intadd-e0": (("intadd", "--e", "0"), 5_747),
-    "natmin": (("natmin",), 385_303),
+    "natmin": (("natmin",), 206_743),
     "natmin-Z-e5-64": (("natmin", "--kind", "Z", "--e", "5", "--budget-elems", "64",
-                        "--budget-steps", "1024"), 42_473),
-    "prodcenter-E": (("prodcenter", "--kind", "E"), 137_130),
-    "prodcenter-H": (("prodcenter", "--kind", "H"), 358_133),
+                        "--budget-steps", "1024"), 27_977),
+    "prodcenter-E": (("prodcenter", "--kind", "E"), 84_920),
+    "prodcenter-H": (("prodcenter", "--kind", "H"), 354_563),
     "flat-H-64": (("flat", "--kind", "H", "--budget-elems", "64", "--budget-steps", "1024"),
-                  83_091),
-    "flat-e3-64": (("flat", "--e", "3", "--budget", "64"), 14_541),
+                  81_075),
+    "flat-e3-64": (("flat", "--e", "3", "--budget", "64"), 12_525),
     "nullstream-e0-E": (("nullstream", "--e", "0", "--kind", "E"), 13_692),
     "nullstream-e0-H": (("nullstream", "--e", "0", "--kind", "H"), 13_691),
 }
@@ -49,8 +49,8 @@ def test_topology_returns_under_its_ceiling(capsys, monkeypatch, case):
 def test_regularity_on_a_finite_member_returns_under_its_ceiling():
     # F = (6,) leaves the member {5} of 5/5; its scan stops at the view's
     # 1024 codes, so the separation found there is not exhaustive.  It
-    # takes 8,096 products, 4,032 of them for the view's order index
-    S, _ = counted(natmin(), cap=9_000)
+    # takes 5,120 products, 2,016 of them for the view's order index
+    S, _ = counted(natmin(), cap=6_000)
     verdict = is_regular(EBase(S, 5, "E", Budget(64, 1024)), 6)
     assert verdict.status == HOLDS and verdict.source == "search"
     assert verdict.witness["exhaustive"] is False
