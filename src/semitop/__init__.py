@@ -7,7 +7,6 @@ from .core import (
     Budget,
     CarrierSet,
     FiniteSemigroup,
-    IdempotentPoset,
     StreamSemigroup,
     adjoin_identity,
     adjoin_zero,
@@ -19,6 +18,7 @@ from .core import (
     direct_product,
     idempotents,
     is_finite,
+    longest_chain,
     natural_order,
     power_projection,
     restrict,

@@ -287,52 +287,30 @@ def _parse_ints(arg, count=None):
     return vals
 
 
+# each finite family with its count of integer parameters, None for a list
+# of any length; m3 and the streams take none and ignore an argument
+FINITE_BUILDERS = {
+    "cyclic": (cyclic_group, 1), "zero": (zero_semigroup, 1), "leftzero": (left_zero, 1),
+    "chain": (chain_semilattice, 1), "flat": (flat_finite, 1), "monogenic": (monogenic, 2),
+    "groupunion": (lambda *orders: group_union(orders), None), "m3": (m3, 0),
+}
+STREAM_BUILDERS = {"natmin": natmin, "natplus": natplus, "nullstream": nullstream,
+                   "nilstream": nilstream, "flat": flat_stream, "intadd": intadd,
+                   "prodcenter": prodcenter}
+
+BUILDER_NAMES = list(dict.fromkeys([*FINITE_BUILDERS, *STREAM_BUILDERS]))
+
+
 def build(spec):
     """Build from a CLI spec like "cyclic:3", "flat" (stream) or "flat:4"."""
     name, _, arg = spec.partition(":")
-    if name == "cyclic":
-        return cyclic_group(*_parse_ints(arg, 1))
-    if name == "zero":
-        return zero_semigroup(*_parse_ints(arg, 1))
-    if name == "leftzero":
-        return left_zero(*_parse_ints(arg, 1))
-    if name == "chain":
-        return chain_semilattice(*_parse_ints(arg, 1))
-    if name == "flat":
-        return flat_finite(*_parse_ints(arg, 1)) if arg else flat_stream()
-    if name == "monogenic":
-        return monogenic(*_parse_ints(arg, 2))
-    if name == "groupunion":
-        return group_union(_parse_ints(arg))
-    if name == "m3":
-        return m3()
-    if name == "natmin":
-        return natmin()
-    if name == "natplus":
-        return natplus()
-    if name == "nullstream":
-        return nullstream()
-    if name == "nilstream":
-        return nilstream()
-    if name == "intadd":
-        return intadd()
-    if name == "prodcenter":
-        return prodcenter()
-    raise BadParameter(f"unknown builder {name!r}")
-
-
-BUILDER_NAMES = ["cyclic", "zero", "leftzero", "chain", "flat", "monogenic",
-                 "groupunion", "m3", "natmin", "natplus", "nullstream",
-                 "nilstream", "intadd", "prodcenter"]
+    if name in STREAM_BUILDERS and not (arg and name in FINITE_BUILDERS):
+        return STREAM_BUILDERS[name]()
+    if name not in FINITE_BUILDERS:
+        raise BadParameter(f"unknown builder {name!r}")
+    make, count = FINITE_BUILDERS[name]
+    return make(*_parse_ints(arg, count)) if count != 0 else make()
 
 
 def stream_corpus():
-    return [
-        ("natmin", natmin()),
-        ("natplus", natplus()),
-        ("nullstream", nullstream()),
-        ("nilstream", nilstream()),
-        ("flat", flat_stream()),
-        ("intadd", intadd()),
-        ("prodcenter", prodcenter()),
-    ]
+    return [(name, make()) for name, make in STREAM_BUILDERS.items()]

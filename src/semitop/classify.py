@@ -19,7 +19,6 @@ from .core import (
     Budget,
     bounded_view,
     build_stream,
-    is_finite,
     restrict,
 )
 from .predicates import (
@@ -89,9 +88,10 @@ def finiteness(S, budget=DEFAULT_BUDGET):
     ``elements`` codes certifies yes, and like every search answer must
     agree with a declared ``finite``; otherwise a declaration decides, else
     Unknown at bound."""
-    if is_finite(S):
-        return Verdict(HOLDS, "finite", {"kind": "finite", "size": S.size}, budget)
-    probe = bounded_view(S, budget).pool.first(budget.elements + 1)
+    view = bounded_view(S, budget)
+    if view.exact:
+        return Verdict(HOLDS, "finite", {"kind": "finite", "size": len(view.codes)}, budget)
+    probe = view.pool.first(budget.elements + 1)
     if len(probe) <= budget.elements:
         _guard_declaration(S, "finite", HOLDS)
         return Verdict(HOLDS, "search",
@@ -101,35 +101,30 @@ def finiteness(S, budget=DEFAULT_BUDGET):
 
 
 def center_subsemigroup(S, budget=DEFAULT_BUDGET):
-    """A handle for the center, or None when it is empty (certified on
-    finite handles; on streams, no central code among the first
+    """A handle for the center, or None when it is empty (certified on an
+    exact view; on streams, no central code among the first
     ``max(elements, steps)``), and whether the answer is exact.
 
-    Commutative handles are their own center.  A finite handle restricts
-    exactly; its center and commutativity come from one transposition of
-    the table, kept on the handle.  A stream's handle enumerates the codes
-    among the first ``depth`` of the view's pool that pass the view's
-    pointwise centrality test.  That test is the stream's exact center test
-    when it gives one, as a product reads its center off its factors, and
-    costs no products; otherwise it is sound only at bound.  Declared
-    center facts ride along via ``center_facts``."""
-    if is_finite(S):
-        if S.commutative:
-            return S, True
-        codes = S.center_codes
-        if not codes:
-            return None, True
-        sub, _ = restrict(S, codes)
-        return sub, True
-    facts = S.declared_facts or {}
-    if facts.get("commutative"):
-        return S, False
+    Commutative handles are their own center.  An exact view restricts to
+    its center, which is the whole table when the table commutes.  A
+    stream's handle enumerates the codes among the first ``depth`` of the
+    view's pool that pass the view's pointwise centrality test.  That test
+    is the stream's exact center test when it gives one, as a product reads
+    its center off its factors, and costs no products; otherwise it is
+    sound only at bound.  Declared center facts ride along via
+    ``center_facts``."""
     view = bounded_view(S, budget)
+    if view.exact:
+        if len(view.center) == len(view.codes):
+            return S, True
+        return (restrict(S, view.center)[0] if view.center else None), True
+    if S.declared_facts.get("commutative"):
+        return S, False
     codes = view.pool.where(view.central, view.depth)
     if not codes.first(1):
         return None, False
     return build_stream(f"center({S.name})", S.mul_fn, lambda: codes.walk(view.depth),
-                        S.label_fn, declared_facts=S.center_facts or {}), False
+                        S.label_fn, declared_facts=S.center_facts), False
 
 
 def _pick_source(verdicts, status):
@@ -238,7 +233,7 @@ def classify(S, budget=DEFAULT_BUDGET, name=None):
     # every closedness property below that one too
     finite_image = (Verdict(HOLDS, "finite", {"kind": "finite_image", "evidence": fin.witness},
                             budget, note="every image of a finite semigroup is finite")
-                    if is_finite(S) else None)
+                    if fin.source == "finite" else None)
 
     def inapplicable(source, note, **fields):
         return Verdict(UNKNOWN, source, {"kind": "inapplicable",
@@ -273,7 +268,7 @@ def classify(S, budget=DEFAULT_BUDGET, name=None):
                               unipotent=unip.status))
 
     report = ClassificationReport(
-        name=name or getattr(S, "name", f"finite[{getattr(S, 'size', '?')}]"),
+        name=name or S.name,
         commutative=commutative, unipotent=unip, finite=fin, suite=suite,
         theorems=theorems, center=center, notes=notes)
     report.notes.extend(_consistency_notes(report))

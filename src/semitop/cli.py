@@ -15,7 +15,7 @@ import json
 import sys
 
 from .builders import BUILDER_NAMES, build
-from .core import Budget, is_finite, label_of
+from .core import Budget, bounded_view, is_finite
 from .classify import classify
 from .corpus import (
     COMMUTATIVE_ISO_CLASS_COUNTS,
@@ -126,6 +126,8 @@ def _collect_entries(args):
                 f"{exc}; known builders: {', '.join(BUILDER_NAMES)}") from None
     if not entries:
         raise BadParameter("nothing to analyze: give files or --builder specs")
+    if len({e.id for e in entries}) != len(entries):
+        raise BadParameter("corpus entry ids must be unique")
     return entries
 
 
@@ -190,10 +192,11 @@ def cmd_topology(args):
             f"{exc}; known builders: {', '.join(BUILDER_NAMES)}") from None
 
     selection = None
+    view = bounded_view(S, budget)
     if args.e is not None:
         e = args.e
-    elif is_finite(S):
-        e = min(S.idempotent_codes)
+    elif view.exact:
+        e = min(view.idempotents)
     else:
         e, selection = find_nonisolated_idempotent(S, budget)
 
@@ -201,7 +204,7 @@ def cmd_topology(args):
     cert = certify_topology(S, e, base, budget=budget, seed=args.seed)
 
     print(f"builder: {args.builder}")
-    print(f"anchor: e={e} (label {label_of(S, e)!r}) kind={args.kind}")
+    print(f"anchor: e={e} (label {S.label_fn(e)!r}) kind={args.kind}")
     if selection is not None:
         print(f"selection: pool={selection['pool']} "
               f"upset={selection['upset_size']} "

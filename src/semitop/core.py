@@ -161,8 +161,16 @@ class CarrierSet:
 
 @dataclass(frozen=True)
 class FiniteSemigroup:
+    """A Cayley table with its labels; like a stream it has a ``name``, a
+    ``label_fn`` and, declaring nothing, ``declared_facts`` and
+    ``center_facts``."""
+
     table: tuple
     labels: tuple
+
+    declared_facts = center_facts = None
+    name = property(lambda self: f"finite[{len(self.table)}]")
+    label_fn = property(lambda self: self.labels.__getitem__)
 
     @property
     def size(self):
@@ -452,12 +460,6 @@ def is_finite(S):
     return isinstance(S, FiniteSemigroup)
 
 
-def label_of(S, x):
-    if is_finite(S):
-        return S.labels[x]
-    return S.label_fn(x)
-
-
 def power(S, x, n):
     """x^n for n >= 1 by square-and-multiply."""
     if n < 1:
@@ -561,7 +563,7 @@ class Prefix:
         return down
 
     @cached_property
-    def _up_lists(self):
+    def up_lists(self):
         """The inverse of ``central_order``: each g maps to the f above it."""
         up = {g: [] for g in self.central_order}
         for f, down in self.central_order.items():
@@ -586,7 +588,7 @@ class Prefix:
         them, each split once into central (one product) or not (two)."""
         order, mul, exact = self.central_order, self.mul, self.central_exact
         F = tuple(F)
-        up = {f for g in F if g in order for f in (g, *self._up_lists[g])}
+        up = {f for g in F if g in order for f in (g, *self.up_lists[g])}
         tests = [(g, exact and self.central(g)) for g in F]
         rest = [(g, one) for g, one in tests if g not in order]
 
@@ -599,8 +601,9 @@ class Prefix:
 
     @property
     def central_exact(self):
-        """Whether ``central`` is exact: the stream gives a center test,
-        or is declared commutative, so that every code passes."""
+        """Whether ``central`` is exact: a table's view tests its center,
+        and a stream gives a center test or is declared commutative, so
+        that every code passes."""
         return self._center_fn is not None
 
     @cached_property
@@ -671,7 +674,8 @@ class Prefix:
         """The idempotent f of x's subgroup, or None with no certificate in
         the prefix: f fixes x on both sides, and x == f or some code v has
         x*v == v*x == f.  Then x is H-related to f, so at most one f
-        qualifies.
+        qualifies.  An idempotent is its own f: a prefix code is known as
+        one at no product, a code past the prefix at one.
 
         Certificates come in pairs.  When x is a prefix code with witness
         v and f*v == v (then v*f == v*x*v == f*v == v), x is v's witness,
@@ -685,10 +689,10 @@ class Prefix:
         order of the scan, so the same v is found."""
         if x in self._subgroup:
             return self._subgroup[x]
-        if x in self._idempotent_set:
+        mul, pre = self.mul, self.codes
+        if x in self._idempotent_set or x not in self._code_set and mul(x, x) == x:
             self._subgroup[x] = x
             return x
-        mul, pre = self.mul, self.codes
         for f in self.idempotents:
             if mul(f, x) == x and mul(x, f) == x:
                 witnesses = pre
@@ -717,13 +721,13 @@ class Prefix:
 
 
 class _FinitePrefix(Prefix):
-    """The exhausted case: ``codes``, ``idempotents``, ``center``,
-    ``central``, ``central_order`` and the subgroup maps read off the
+    """The exhausted case: ``codes``, ``idempotents``, ``center``, the
+    center test, ``central_order`` and the subgroup maps read off the
     handle, the center from the transpose of the table, the order from its
     rows and the subgroups from its orbit table.
     ``pool`` ranges over the codes 0..n-1, and ``depth`` takes them all."""
 
-    exact = central_exact = True
+    exact = True
     division_oracle = None
 
     def __init__(self, S, budget=DEFAULT_BUDGET):
@@ -740,15 +744,12 @@ class _FinitePrefix(Prefix):
         return CarrierSet.of(self.codes)
 
     @cached_property
-    def _center_set(self):
-        return frozenset(self.S.center_codes)
+    def _center_fn(self):
+        return frozenset(self.S.center_codes).__contains__
 
     @cached_property
     def central_order(self):
         return _table_order(self.S.table, self.central_idempotents)
-
-    def central(self, x):
-        return x in self._center_set
 
     def subgroup_idempotent(self, x):
         return self.S.subgroup_idempotent.get(x)
@@ -790,39 +791,31 @@ def central_idempotents(S, budget=DEFAULT_BUDGET):
     return BoundedSet(view.central_idempotents, exact=view.exact)
 
 
-@dataclass
-class IdempotentPoset:
-    """The natural partial order e <= f iff ef == fe == e, on the
-    idempotents of a finite handle.  ``down`` maps each element to the
-    others below it, in element order."""
+def longest_chain(down):
+    """One longest chain of the natural order e <= f iff ef == fe == e,
+    given as ``down``, which maps each element, in element order, to the
+    others below it.  The chain is listed bottom to top: the first longest
+    in element order by its top, and below each element the first, in
+    element order, of those with the longest chain under them.
 
-    elements: tuple
-    down: dict
-
-    def longest_chain(self):
-        """One longest chain, listed bottom to top: the first longest in
-        element order by its top, and below each element the first, in
-        element order, of those with the longest chain under them.
-
-        An element below another has the smaller down-set, so in order of
-        down-set size each element's longest chain is known before those
-        of the elements above it; each keeps the element it steps down to."""
-        if not self.elements:
-            return ()
-        down = self.down
-        length, step = {}, {}
-        for e in sorted(self.elements, key=lambda e: len(down[e])):
-            if down[e]:
-                f = max(down[e], key=length.__getitem__)
-                length[e], step[e] = length[f] + 1, f
-            else:
-                length[e] = 1
-        e = max(self.elements, key=length.__getitem__)
-        out = [e]
-        while e in step:
-            e = step[e]
-            out.append(e)
-        return tuple(reversed(out))
+    An element below another has the smaller down-set, so in order of
+    down-set size each element's longest chain is known before those of
+    the elements above it; each keeps the element it steps down to."""
+    if not down:
+        return ()
+    length, step = {}, {}
+    for e in sorted(down, key=lambda e: len(down[e])):
+        if down[e]:
+            f = max(down[e], key=length.__getitem__)
+            length[e], step[e] = length[f] + 1, f
+        else:
+            length[e] = 1
+    e = max(down, key=length.__getitem__)
+    out = [e]
+    while e in step:
+        e = step[e]
+        out.append(e)
+    return tuple(reversed(out))
 
 
 def natural_order(S):
@@ -830,7 +823,7 @@ def natural_order(S):
     the down-list of each; a stream's order is its view's
     ``central_order``."""
     _require_finite(S, "natural_order")
-    return IdempotentPoset(S.idempotent_codes, _table_order(S.table, S.idempotent_codes))
+    return _table_order(S.table, S.idempotent_codes)
 
 
 def _table_order(t, elems):

@@ -341,7 +341,6 @@ class CorpusEntry:
     id: str
     source: str
     semigroup: object
-    declared_facts: dict = field(default_factory=dict)
     tags: tuple = ()
 
 
@@ -353,9 +352,7 @@ def entry_from_file(path):
 
 def entry_from_builder(spec):
     from .builders import build
-    S = build(spec)
-    return CorpusEntry(id=spec, source="builder", semigroup=S,
-                       declared_facts=dict(getattr(S, "declared_facts", None) or {}))
+    return CorpusEntry(id=spec, source="builder", semigroup=build(spec))
 
 
 @dataclass

@@ -37,6 +37,7 @@ from .core import (
     Budget,
     Prefix,
     bounded_view,
+    longest_chain,
     natural_order,
     power,
 )
@@ -93,7 +94,7 @@ def negation_status(status):
 
 
 def _facts(S):
-    return getattr(S, "declared_facts", None) or {}
+    return S.declared_facts or {}
 
 
 def _declared(S, name, budget, evidence=None):
@@ -114,7 +115,7 @@ def _guard_declaration(S, name, search_status):
         declared_status = HOLDS if facts[name] else FAILS
         if declared_status != search_status:
             raise CorpusIntegrityError(
-                f"{getattr(S, 'name', 'stream')}: declared {name}={facts[name]} "
+                f"{S.name}: declared {name}={facts[name]} "
                 f"contradicted by search ({search_status})")
 
 
@@ -245,7 +246,7 @@ def chain_finite(S, budget=DEFAULT_BUDGET):
     idempotent order.  On streams a long-enough chain refutes."""
     view = bounded_view(S, budget)
     if view.exact:
-        longest = natural_order(S).longest_chain()
+        longest = longest_chain(natural_order(S))
         return _settle(S, "chain_finite", view, HOLDS,
                        {"kind": "finite", "longest_idempotent_chain": list(longest)})
     found, best = _chain_search(S, budget)
@@ -521,7 +522,7 @@ def check_suite_consistency(suite, name="semigroup"):
 def evaluate_suite(S, budget=DEFAULT_BUDGET):
     """All predicates at once, cross-checked for forced implications."""
     suite = {name: fn(S, budget) for name, fn in PREDICATES.items()}
-    check_suite_consistency(suite, getattr(S, "name", "finite"))
+    check_suite_consistency(suite, S.name)
     return suite
 
 

@@ -24,10 +24,8 @@ from functools import cached_property
 from .core import (
     DEFAULT_BUDGET,
     CarrierSet,
-    IdempotentPoset,
     bounded_view,
-    central_idempotents,
-    is_finite,
+    longest_chain,
     power,
     power_projection,
 )
@@ -238,7 +236,8 @@ class EBase:
             raise BadParameter(f"unknown base kind {kind!r}")
         self.view = view = bounded_view(S, budget)
         if e not in view.codes:
-            span = f"0..{S.size - 1}" if is_finite(S) else f"the first {len(view.codes)} codes"
+            n = len(view.codes)
+            span = f"0..{n - 1}" if view.exact else f"the first {n} codes"
             raise BadParameter(f"anchor {e} outside {span}")
         if S.mul(e, e) != e:
             raise NotIdempotent(f"{e} is not idempotent")
@@ -740,14 +739,15 @@ def find_nonisolated_idempotent(S, budget=DEFAULT_BUDGET, tau=NONISOLATION_TAU):
     positions is flagged: it is likely an artifact of truncating an
     infinite ascending chain.  Raises NotFound when the central
     semilattice is finite or no candidate qualifies at the bound."""
-    if is_finite(S):
-        raise NotFound("finite carrier: the central semilattice is finite")
     view = bounded_view(S, budget)
+    if view.exact:
+        raise NotFound("finite carrier: the central semilattice is finite")
     pool = list(view.central_idempotents)
     if len(pool) < tau:
         raise NotFound(f"only {len(pool)} central idempotents at bound")
-    upset_size = _upset_sizes(view.central_order)
-    candidates = [f for f in pool if upset_size[f] >= tau]
+    # f's up-set holds f and the members of its up-list
+    up = view.up_lists
+    candidates = [f for f in pool if len(up[f]) + 1 >= tau]
     if not candidates:
         raise NotFound("no central idempotent with a large up-set at bound")
     below_some = {g for f in candidates for g in view.central_order[f]}
@@ -766,19 +766,9 @@ def find_nonisolated_idempotent(S, budget=DEFAULT_BUDGET, tau=NONISOLATION_TAU):
         meets.append({"params": base.describe(base.normalize(params)),
                       "others_met": count})
     evidence = {"pool": len(pool), "candidates": len(candidates),
-                "upset_size": upset_size[e], "position": position,
+                "upset_size": len(up[e]) + 1, "position": position,
                 "confirmed_at_bound": confirmed, "neighborhoods": meets}
     return e, evidence
-
-
-def _upset_sizes(down):
-    """How many members of the order lie at or above each one, from its
-    down-lists."""
-    sizes = dict.fromkeys(down, 1)
-    for below in down.values():
-        for g in below:
-            sizes[g] += 1
-    return sizes
 
 
 def topologizability_verdict(S, budget=DEFAULT_BUDGET):
@@ -789,15 +779,14 @@ def topologizability_verdict(S, budget=DEFAULT_BUDGET):
     search neither proves nor refutes it) and infinite (declared, with prefix
     evidence), plus a successful anchor selection.  Finite carriers are
     Unknown-inapplicable: the question concerns infinite carriers."""
-    if is_finite(S):
-        ez = central_idempotents(S, budget)
-        return Verdict(UNKNOWN, "finite",
-                       {"kind": "inapplicable", "ez_size": len(ez)}, budget,
-                       note="finite carrier: any topology of interest is discrete")
     view = bounded_view(S, budget)
     pool = view.central_idempotents
+    if view.exact:
+        return Verdict(UNKNOWN, "finite",
+                       {"kind": "inapplicable", "ez_size": len(pool)}, budget,
+                       note="finite carrier: any topology of interest is discrete")
     # the pool is at most ``elements`` codes, so is the chain
-    chain = len(IdempotentPoset(pool, view.central_order).longest_chain())
+    chain = len(longest_chain(view.central_order))
     missing = []
 
     # a chain of ``elements`` codes proves no infinite chain, so search

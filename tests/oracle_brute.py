@@ -156,12 +156,13 @@ def greedy_chain(mul, pool, target, steps):
 
 def subgroup_certificate(mul, idempotents, prefix, codes=None):
     """The inverse-witness subgroup certificate, one scan per code and no
-    memo: each code x of ``codes`` (default ``prefix``) maps to the first
-    of ``idempotents`` that is x itself, or fixes x on both sides with some
-    v of ``prefix`` having x*v == v*x == f.  Codes with none are left out."""
+    memo: each code x of ``codes`` (default ``prefix``) maps to x itself
+    when x is idempotent, else to the first of ``idempotents`` that fixes
+    x on both sides with some v of ``prefix`` having x*v == v*x == f.
+    Codes with none are left out."""
     out = {}
     for x in prefix if codes is None else codes:
-        if x in idempotents:
+        if mul(x, x) == x:
             out[x] = x
             continue
         for f in idempotents:

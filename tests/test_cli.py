@@ -93,6 +93,13 @@ def test_unknown_builder_lists_catalog(capsys):
     assert code == 1 and "known builders" in err
 
 
+@pytest.mark.parametrize("command", ["classify", "predicates"])
+def test_duplicate_entry_ids_are_exit_1(capsys, command):
+    code, out, err = run(capsys, command, "--builder", "cyclic:2", "--builder", "cyclic:2")
+    assert code == 1 and out == ""
+    assert "corpus entry ids must be unique" in err
+
+
 def test_usage_errors_fold_into_exit_1(capsys):
     assert run(capsys, "bogus-command")[0] == 1
     assert run(capsys, "enumerate")[0] == 1  # missing order argument

@@ -46,6 +46,7 @@ from semitop.core import (
     direct_product,
     generators,
     idempotents,
+    longest_chain,
     natural_order,
     power,
     power_projection,
@@ -477,12 +478,21 @@ def test_one_element_table_is_the_trivial_semigroup():
     assert build_finite([[0]], labels=["e"]).labels == ("e",)
 
 
+def test_a_finite_handle_answers_what_its_readers_ask():
+    # the report name, a label per code and no declarations, as a stream
+    # answers them, so no reader needs a default
+    S = cyclic_group(3)
+    assert S.name == "finite[3]" and classify(S).name == "finite[3]"
+    assert [S.label_fn(x) for x in S.elements()] == ["e", "g", "g2"]
+    assert S.declared_facts is None and S.center_facts is None
+
+
 def test_natural_order_on_chain_is_linear():
     S = chain_semilattice(4)
-    poset = natural_order(S)
-    assert poset.longest_chain() == (0, 1, 2, 3)
+    down = natural_order(S)
+    assert longest_chain(down) == (0, 1, 2, 3)
     # each code lies strictly above every smaller code and no larger one
-    assert poset.down == {y: list(range(y)) for y in range(4)}
+    assert down == {y: list(range(y)) for y in range(4)}
 
 
 def test_longest_chain_matches_the_recursive_reference():
@@ -496,20 +506,19 @@ def test_longest_chain_matches_the_recursive_reference():
                 perm = list(range(n))
                 rng.shuffle(perm)
                 table = relabeled_table(S.table, perm)
-                assert natural_order(build_finite(table)).longest_chain() == \
+                assert longest_chain(natural_order(build_finite(table))) == \
                     ob.longest_chain(table), table
 
 
-def test_a_poset_is_freed_after_longest_chain_without_a_collection():
-    # the search must not leave the poset in a reference cycle, which
-    # keeps it alive until the cyclic collector runs
-    poset = natural_order(chain_semilattice(4))
-    assert poset.longest_chain() == (0, 1, 2, 3)
-    gone = weakref.ref(poset)
+def test_longest_chain_leaves_no_cyclic_garbage():
+    # the search must leave nothing in a reference cycle, which stays
+    # alive until the cyclic collector runs
+    down = natural_order(chain_semilattice(4))
+    gc.collect()
     gc.disable()
     try:
-        del poset
-        assert gone() is None
+        assert longest_chain(down) == (0, 1, 2, 3)
+        assert gc.collect() == 0
     finally:
         gc.enable()
 
@@ -537,15 +546,15 @@ def test_natural_order_is_read_off_a_finite_table_only():
     # on a commutative table every idempotent is central, so the view's
     # index is the whole order
     S = flat_finite(3)
-    assert natural_order(S).down == bounded_view(S).central_order
+    assert natural_order(S) == bounded_view(S).central_order
 
 
 def test_natural_order_on_flat_has_incomparable_atoms():
     S = flat_finite(3)
-    poset = natural_order(S)
+    down = natural_order(S)
     # the atoms lie above the zero alone
-    assert poset.down == {0: [], 1: [0], 2: [0], 3: [0]}
-    assert len(poset.longest_chain()) == 2
+    assert down == {0: [], 1: [0], 2: [0], 3: [0]}
+    assert len(longest_chain(down)) == 2
 
 
 def test_idempotents_and_center_match_oracle():
@@ -645,6 +654,16 @@ def test_stream_view_matches_the_finite_structure_maps():
         assert view.center == S.center_codes, name
         assert view.subgroup_of == S.subgroup_idempotent, name
         assert clifford_parts(stream, budget).classes == clifford_parts(S).classes, name
+
+
+def test_an_idempotent_past_the_prefix_certifies_itself_at_one_product():
+    S, meter = counted(natmin())
+    view = bounded_view(S, Budget(256, 4096))
+    # the prefix's idempotents are known first, as every caller has them
+    assert 300 not in view.codes and view.idempotents
+    meter.calls = 0
+    assert view.subgroup_idempotent(300) == 300
+    assert meter.calls == 1
 
 
 def test_subgroup_certificates_recorded_in_pairs_match_one_scan_per_code():

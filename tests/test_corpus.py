@@ -478,7 +478,19 @@ def test_entry_from_file_uses_stem_as_id(fixtures_dir):
 def test_entry_from_builder_carries_declared_facts():
     entry = entry_from_builder("natplus")
     assert entry.source == "builder"
-    assert entry.declared_facts.get("periodic") is False
+    assert entry.semigroup.declared_facts.get("periodic") is False
+
+
+@pytest.mark.parametrize("spec,name", [
+    ("flat", "flat"), ("flat:", "flat"), ("flat:3", "finite[4]"), ("natmin:3", "natmin"),
+    ("m3", "finite[3]"), ("m3:x", "finite[3]"), ("groupunion:2,3", "finite[6]")])
+def test_builder_specs_pick_a_table_or_a_stream(spec, name):
+    # bare flat is the stream and flat:k a table; a stream and m3 ignore an
+    # argument.  The catalog lists the names in this order
+    assert builders.build(spec).name == name
+    assert builders.BUILDER_NAMES == [
+        "cyclic", "zero", "leftzero", "chain", "flat", "monogenic", "groupunion", "m3",
+        "natmin", "natplus", "nullstream", "nilstream", "intadd", "prodcenter"]
 
 
 def test_scan_rejects_duplicate_ids():

@@ -25,14 +25,17 @@ from semitop.topology import EBase, is_regular
 TOPOLOGY_CASES = {
     "intadd-e0": (("intadd", "--e", "0"), 5_747),
     "natmin": (("natmin",), 206_743),
+    "natmin-H": (("natmin", "--kind", "H"), 206_711),
     "natmin-Z-e5-64": (("natmin", "--kind", "Z", "--e", "5", "--budget-elems", "64",
                         "--budget-steps", "1024"), 27_977),
     "prodcenter-E": (("prodcenter", "--kind", "E"), 84_920),
-    "prodcenter-H": (("prodcenter", "--kind", "H"), 354_563),
+    "prodcenter-H": (("prodcenter", "--kind", "H"), 84_888),
     "flat-H-64": (("flat", "--kind", "H", "--budget-elems", "64", "--budget-steps", "1024"),
-                  81_075),
+                  45_761),
     "flat-e3-64": (("flat", "--e", "3", "--budget", "64"), 12_525),
     "nullstream-e0-E": (("nullstream", "--e", "0", "--kind", "E"), 13_692),
+    # takes 17,531: each of the 3,840 codes past the 256-code prefix pays one
+    # product to test x*x == x, under the cap of twice 13,691
     "nullstream-e0-H": (("nullstream", "--e", "0", "--kind", "H"), 13_691),
 }
 
