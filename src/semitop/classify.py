@@ -27,6 +27,7 @@ from .predicates import (
     UNKNOWN,
     Verdict,
     _declared,
+    _facts,
     _guard_declaration,
     conjunction_status,
     evaluate_suite,
@@ -118,7 +119,7 @@ def center_subsemigroup(S, budget=DEFAULT_BUDGET):
         if len(view.center) == len(view.codes):
             return S, True
         return (restrict(S, view.center)[0] if view.center else None), True
-    if S.declared_facts.get("commutative"):
+    if _facts(S).get("commutative"):
         return S, False
     codes = view.pool.where(view.central, view.depth)
     if not codes.first(1):

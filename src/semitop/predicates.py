@@ -3,11 +3,14 @@
 Every predicate reads its handle through the bounded view and returns
 Holds, Fails, or Unknown with the evidence that justifies it.  The view's
 ``exact`` flag decides the source: answers on an exact view (a finite
-table) are final, source "finite".  On a stream a definite search answer
-(source "search") must not be contradicted by a declared fact (that is a
-corpus integrity error); when search is inconclusive a declared fact
-decides with source "declared", else the verdict is Unknown with the
-search residue attached.
+table) are final, source "finite".  On a stream a declaration decides,
+source "declared", unless a search with a finite refuting witness
+contradicts it (a corpus integrity error): the noncommuting pair of
+``commutative`` and the idempotent pair of ``unipotent`` guard every
+declaration of theirs.  No other stream search can refute, so their
+declared facts answer at no product (``_declaration_decides``) but for a
+declared ``bound_exponent``, checked on the first ``SAMPLE_SIZE`` codes.
+Otherwise the search answers, source "search", Unknown when inconclusive.
 
 Budget convention for the searches here: ``elements`` caps enumerated
 prefixes and witness sizes, ``steps`` caps examined candidates in greedy
@@ -18,14 +21,15 @@ a witness of k codes
 costs the chain search O(k log k) products when the witness is a chain in
 the natural order, plus a full scan of the witness for each accepted pair
 the order cannot compare; the singular searches check every pair, O(k^2).
-No finite prefix proves a set infinitely singular, so a singular set found
-(for ``nonsingular`` or ``clifford_singular``) is evidence, not proof: it
-settles as Unknown, a declared fact decides and carries it as
-``evidence``, and its size is capped at ``min(elements, SAMPLE_SIZE)``.
+No finite prefix proves an infinite chain, subgroup, Clifford part or
+singular set, so a growth or singular witness found is evidence, not
+proof: it settles as Unknown, and a singular set's size is capped at
+``min(elements, SAMPLE_SIZE)``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -105,6 +109,11 @@ def _declared(S, name, budget, evidence=None):
     witness = {"kind": "declared", "fact": name, "value": value}
     if evidence is not None:
         witness["evidence"] = evidence
+    if name == "bounded" and value and (n := facts.get("bound_exponent")) is not None:
+        for x in bounded_view(S, budget).codes[:SAMPLE_SIZE]:
+            if S.mul(xn := power(S, x, n), xn) != xn:
+                raise CorpusIntegrityError(f"{S.name}: declared bound exponent {n} fails at {x}")
+        witness["n"] = n
     return Verdict(HOLDS if value else FAILS, "declared", witness, budget)
 
 
@@ -119,17 +128,27 @@ def _guard_declaration(S, name, search_status):
                 f"contradicted by search ({search_status})")
 
 
-def _settle(S, name, view, status, witness, evidence=True):
+def _settle(S, name, view, status, witness):
     """The one verdict tail, in the order of the module docstring; a
-    declared verdict carries ``witness`` as evidence when ``evidence``."""
+    declared verdict carries ``witness`` as evidence."""
     budget = view.budget
     if view.exact:
         return Verdict(status, "finite", witness, budget)
     if status != UNKNOWN:
         _guard_declaration(S, name, status)
         return Verdict(status, "search", witness, budget)
-    return _declared(S, name, budget, witness if evidence else None) or Verdict(
-        UNKNOWN, "search", witness, budget)
+    return _declared(S, name, budget, witness) or Verdict(UNKNOWN, "search", witness, budget)
+
+
+def _declaration_decides(predicate):
+    """The one short-circuit, for a predicate whose stream search can give
+    no definite status: on a stream, a declared fact is its verdict."""
+    @functools.wraps(predicate)
+    def decide(S, budget=DEFAULT_BUDGET):
+        if predicate.__name__ in _facts(S) and not bounded_view(S, budget).exact:
+            return _declared(S, predicate.__name__, budget)
+        return predicate(S, budget)
+    return decide
 
 
 # ---------------------------------------------------------------------------
@@ -239,28 +258,25 @@ def _clifford_members(view, sample_idempotents=4):
 # ---------------------------------------------------------------------------
 # the predicates
 
+@_declaration_decides
 def chain_finite(S, budget=DEFAULT_BUDGET):
     """Every infinite subset has a pair multiplying outside itself.
 
     Trivial on exact views; the evidence records the longest chain in the
-    idempotent order.  On streams a long-enough chain refutes."""
+    idempotent order.  On streams a chain found is evidence, not proof."""
     view = bounded_view(S, budget)
     if view.exact:
         longest = longest_chain(natural_order(S))
         return _settle(S, "chain_finite", view, HOLDS,
                        {"kind": "finite", "longest_idempotent_chain": list(longest)})
     found, best = _chain_search(S, budget)
-    if found is not None:
-        witness = {"kind": "chain", "elements": list(found), "length": len(found)}
-        # a chain of ``elements`` codes proves no infinite chain: a declared
-        # chain-finite stream keeps its fact, with the chain as evidence
-        if _facts(S).get("chain_finite"):
-            return _declared(S, "chain_finite", budget, witness)
-        return _settle(S, "chain_finite", view, FAILS, witness)
-    return _settle(S, "chain_finite", view, UNKNOWN,
-                   {"kind": "search_exhausted", "best_chain_length": best})
+    witness = ({"kind": "chain", "elements": list(found), "length": len(found)}
+               if found is not None else
+               {"kind": "search_exhausted", "best_chain_length": best})
+    return _settle(S, "chain_finite", view, UNKNOWN, witness)
 
 
+@_declaration_decides
 def nonsingular(S, budget=DEFAULT_BUDGET):
     """No infinite subset with a one-element product set."""
     view = bounded_view(S, budget)
@@ -275,11 +291,13 @@ def nonsingular(S, budget=DEFAULT_BUDGET):
     return _settle(S, "nonsingular", view, UNKNOWN, witness)
 
 
+@_declaration_decides
 def periodic(S, budget=DEFAULT_BUDGET):
     """Every element has an idempotent power."""
     return _power_limit(S, "periodic", budget)
 
 
+@_declaration_decides
 def eventually_clifford(S, budget=DEFAULT_BUDGET):
     """Every element has a power inside a subgroup."""
     return _power_limit(S, "eventually_clifford", budget)
@@ -309,29 +327,20 @@ def least_uniform_exponent(S):
     return lcm * ((top + lcm - 1) // lcm)
 
 
+@_declaration_decides
 def bounded(S, budget=DEFAULT_BUDGET):
-    """One exponent n makes every x^n idempotent; reports the least n."""
+    """One exponent n makes every x^n idempotent; reports n, least on a table."""
     view = bounded_view(S, budget)
     if view.exact:
         return _settle(S, "bounded", view, HOLDS,
                        {"kind": "uniform_exponent", "n": least_uniform_exponent(S)})
     exponents, divergent, cap = view.orbit_profile
-    evidence = {"kind": "orbit_profile", "divergent_at_bound": divergent[:8],
-                "max_exponent_seen": max(exponents.values(), default=None),
-                "step_cap": cap}
-    verdict = _settle(S, "bounded", view, UNKNOWN, evidence)
-    if verdict.holds:
-        n = _facts(S).get("bound_exponent", evidence["max_exponent_seen"])
-        if n is not None:
-            for x in view.codes[:SAMPLE_SIZE]:
-                xn = power(S, x, n)
-                if S.mul(xn, xn) != xn:
-                    raise CorpusIntegrityError(
-                        f"{S.name}: declared bound exponent {n} fails at {x}")
-            verdict = Verdict(HOLDS, "declared", {**verdict.witness, "n": n}, budget)
-    return verdict
+    return _settle(S, "bounded", view, UNKNOWN, {
+        "kind": "orbit_profile", "divergent_at_bound": divergent[:8],
+        "max_exponent_seen": max(exponents.values(), default=None), "step_cap": cap})
 
 
+@_declaration_decides
 def group_finite(S, budget=DEFAULT_BUDGET):
     """All subgroups finite; witnesses name the largest subgroup inspected
     (every one on an exact view, those of the first four idempotents on a
@@ -340,18 +349,18 @@ def group_finite(S, budget=DEFAULT_BUDGET):
     idem = view.idempotents if view.exact else view.idempotents[:4]
     size, e = max(((len(view.subgroup(f)), f) for f in idem), default=(0, None))
     if view.exact:
-        status, witness = HOLDS, {"kind": "finite", "largest_subgroup": size,
-                                  "at_idempotent": e}
+        witness = {"kind": "finite", "largest_subgroup": size, "at_idempotent": e}
     # half the element budget of certified members counts as growth
     # evidence at bound (the prefix boundary can clip a few inverses)
     elif size >= max(2, budget.elements // 2):
-        status, witness = FAILS, {"kind": "subgroup_growth", "idempotent": e,
-                                  "count": size, "sample": list(view.subgroup(e)[:32])}
+        witness = {"kind": "subgroup_growth", "idempotent": e, "count": size,
+                   "sample": list(view.subgroup(e)[:32])}
     else:
-        status, witness = UNKNOWN, {"kind": "search_exhausted"}
-    return _settle(S, "group_finite", view, status, witness, evidence=False)
+        witness = {"kind": "search_exhausted"}
+    return _settle(S, "group_finite", view, HOLDS if view.exact else UNKNOWN, witness)
 
 
+@_declaration_decides
 def group_bounded(S, budget=DEFAULT_BUDGET):
     """All subgroups of bounded exponent."""
     view = bounded_view(S, budget)
@@ -361,10 +370,10 @@ def group_bounded(S, budget=DEFAULT_BUDGET):
         return _settle(S, "group_bounded", view, HOLDS,
                        {"kind": "finite", "exponent": exponent})
     # unboundedness of a subgroup is not witnessable at a bound
-    return _settle(S, "group_bounded", view, UNKNOWN, {"kind": "not_searchable"},
-                   evidence=False)
+    return _settle(S, "group_bounded", view, UNKNOWN, {"kind": "not_searchable"})
 
 
+@_declaration_decides
 def clifford(S, budget=DEFAULT_BUDGET):
     """Every element lies in a subgroup."""
     view = bounded_view(S, budget)
@@ -381,21 +390,22 @@ def clifford(S, budget=DEFAULT_BUDGET):
     return _settle(S, "clifford", view, status, witness)
 
 
+@_declaration_decides
 def clifford_finite(S, budget=DEFAULT_BUDGET):
     """The union of subgroups is finite."""
     view = bounded_view(S, budget)
     members = _clifford_members(view)
     if view.exact:
-        status, witness = HOLDS, {"kind": "finite", "size": len(members)}
+        witness = {"kind": "finite", "size": len(members)}
     elif len(members) >= max(2, budget.elements // 2):
-        status, witness = FAILS, {"kind": "clifford_growth", "count": len(members),
-                                  "sample": sorted(members)[:32]}
+        witness = {"kind": "clifford_growth", "count": len(members),
+                   "sample": sorted(members)[:32]}
     else:
-        status, witness = UNKNOWN, {"kind": "search_exhausted",
-                                    "certified": len(members)}
-    return _settle(S, "clifford_finite", view, status, witness, evidence=False)
+        witness = {"kind": "search_exhausted", "certified": len(members)}
+    return _settle(S, "clifford_finite", view, HOLDS if view.exact else UNKNOWN, witness)
 
 
+@_declaration_decides
 def clifford_plus_finite(S, budget=DEFAULT_BUDGET):
     """All but finitely many elements lie in subgroups."""
     # an infinite residue cannot be certified by search (membership in the
@@ -411,12 +421,14 @@ def clifford_plus_finite(S, budget=DEFAULT_BUDGET):
     return _settle(S, "clifford_plus_finite", view, status, witness)
 
 
+@_declaration_decides
 def clifford_singular(S, budget=DEFAULT_BUDGET):
     """Some infinite set outside the subgroup union multiplies into it.
 
     The evidence is a set A of up to ``min(elements, SAMPLE_SIZE)`` codes
     disjoint from the subgroup union (by declared part codes when
-    available) with A*A inside it; only a declared fact settles."""
+    available) with A*A inside it, found among the first ``steps``
+    candidates; only a declared fact settles."""
     view = bounded_view(S, budget)
     if view.exact:
         return _settle(S, "clifford_singular", view, FAILS, {"kind": "finite"})
@@ -431,11 +443,7 @@ def clifford_singular(S, budget=DEFAULT_BUDGET):
     # the pool excludes the subgroup union, so cap the target by what exists
     target = max(2, min(budget.elements, SAMPLE_SIZE, len(candidates)))
     group = []
-    examined = 0
-    for x in candidates:
-        examined += 1
-        if examined > budget.steps:
-            break
+    for x in candidates[:budget.steps]:
         if in_part(mul(x, x)) and all(
                 in_part(mul(x, a)) and in_part(mul(a, x)) for a in group):
             group.append(x)
@@ -529,22 +537,6 @@ def evaluate_suite(S, budget=DEFAULT_BUDGET):
 # ---------------------------------------------------------------------------
 # witness replay
 
-SINGULAR_KINDS = ("singular_prefix", "singular_into_subgroups")
-
-
-def _singular_holds(S, w):
-    """Check a singular set pairwise: every product equals the recorded
-    constant, or lands in the recorded part while no element does."""
-    elems = w["elements"]
-    if w["kind"] == "singular_prefix":
-        c = w["product"]
-        return len(elems) >= w["length"] and all(
-            S.mul(x, y) == c for x in elems for y in elems)
-    part = set(w["products_within"])
-    return all(S.mul(x, y) in part for x in elems for y in elems) and all(
-        x not in part for x in elems)
-
-
 def replay(S, name, verdict, budget=None):
     """Re-check a verdict's evidence from scratch.  Returns True when the
     witness still certifies the claimed status."""
@@ -559,17 +551,20 @@ def replay(S, name, verdict, budget=None):
         facts = _facts(S)
         if fact not in facts or bool(facts[fact]) != w.get("value"):
             return False
-        evidence = w.get("evidence") or {}
-        if evidence.get("kind") in SINGULAR_KINDS and not _singular_holds(S, evidence):
-            return False
         fresh = PREDICATES[name](S, budget)  # search must still not contradict
         return fresh.status == verdict.status
+    elems = w.get("elements")
     if kind == "chain":
-        elems = w["elements"]
         return len(elems) >= w["length"] and all(
             S.mul(x, y) in (x, y) for x in elems for y in elems)
-    if kind in SINGULAR_KINDS:
-        return _singular_holds(S, w)
+    if kind == "singular_prefix":
+        return len(elems) >= w["length"] and all(
+            S.mul(x, y) == w["product"] for x in elems for y in elems)
+    if kind == "singular_into_subgroups":
+        # every product lands in the recorded part, and no element does
+        part = set(w["products_within"])
+        return all(S.mul(x, y) in part for x in elems for y in elems) and all(
+            x not in part for x in elems)
     if kind == "subgroup_growth":
         e = w["idempotent"]
         certified = set(Prefix(S, budget).subgroup(e))

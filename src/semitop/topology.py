@@ -581,8 +581,8 @@ def certify_topology(S, e, base, sample=None, budget=DEFAULT_BUDGET, seed=0):
     ground = base.view.pool.first(sample.ground)
     plist = base.sample_params(rng, sample.neighborhoods, sample.max_f)
 
-    # T0: each sampled pair must be split by a basic neighborhood
-    for _ in range(sample.t0_pairs):
+    # T0: a basic neighborhood must split each sampled pair (a one-point ground has none)
+    for _ in range(sample.t0_pairs if len(ground) > 1 else 0):
         x, y = rng.sample(ground, 2)
         record = None
         for who, other in ((x, y), (y, x)):

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the lines as they
 print; each criterion also asserts, so a red line fails the suite.
 """
 
+import dataclasses
 import time
 
 import oracle_brute as ob
@@ -21,6 +22,10 @@ from semitop.corpus import (
 )
 from semitop.predicates import evaluate_suite, replay
 from semitop.topology import EBase, certify_topology, topologizability_verdict
+
+
+def _stripped(S):
+    return dataclasses.replace(S, declared_facts={})
 
 
 def _report(criterion, ok, detail):
@@ -106,29 +111,32 @@ def test_flat_stream_topologization_certificate():
 
 
 def test_negative_classifications_replay():
+    # a declared stream's negatives replay from the declaration; the
+    # chain and singular set that back them are found, as evidence, by the
+    # searches on the stream with its declarations emptied
     problems = []
 
-    S = natmin()
-    suite = evaluate_suite(S, Budget(64, 4096))
-    chain = suite["chain_finite"]
-    if not (chain.fails and chain.witness["kind"] == "chain"
+    S, bare = natmin(), _stripped(natmin())
+    declared = evaluate_suite(S, Budget(64, 4096))["chain_finite"]
+    chain = evaluate_suite(bare, Budget(64, 4096))["chain_finite"]
+    if not (declared.fails and chain.witness["kind"] == "chain"
             and chain.witness["length"] >= 32):
         problems.append("natmin chain")
-    elif not replay(S, "chain_finite", chain):
+    elif not (replay(S, "chain_finite", declared) and replay(bare, "chain_finite", chain)):
         problems.append("natmin replay")
     if not classify(S, Budget(64, 4096)).theorems["C_closed"].fails:
         problems.append("natmin C_closed")
 
-    N = nullstream()
+    N, bare = nullstream(), _stripped(nullstream())
     nsg = evaluate_suite(N, Budget(32, 4096))["nonsingular"]
-    evidence = (nsg.witness or {}).get("evidence", {})
-    A = evidence.get("elements", [])
+    found = evaluate_suite(bare, Budget(32, 4096))["nonsingular"]
+    A = found.witness.get("elements", [])
     products = {N.mul(x, y) for x in A for y in A}
     if not (nsg.fails and nsg.source == "declared"
-            and evidence.get("kind") == "singular_prefix"
+            and found.witness["kind"] == "singular_prefix"
             and len(A) == 32 and len(products) == 1):
         problems.append("nullstream witness")
-    elif not replay(N, "nonsingular", nsg):
+    elif not (replay(N, "nonsingular", nsg) and replay(bare, "nonsingular", found)):
         problems.append("nullstream replay")
 
     P = natplus()

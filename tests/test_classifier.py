@@ -30,7 +30,7 @@ from semitop.core import (
 )
 from semitop.corpus import enumerate_finite
 from semitop.errors import BadParameter, CorpusIntegrityError
-from semitop.predicates import FAILS, HOLDS, UNKNOWN, Verdict
+from semitop.predicates import FAILS, HOLDS, PREDICATES, UNKNOWN, Verdict
 
 BUDGET = Budget(64, 2048)
 STREAMS = dict(stream_corpus())
@@ -39,6 +39,12 @@ THEOREM_KINDS = (
     "C_closed", "ideally_projectively_closed", "injective_T1S",
     "injective_T2S", "absolute_T1S",
 )
+
+
+def _stripped(name):
+    """The stream ``name`` with its declarations emptied, so every stream
+    search runs (the center handle keeps its declared facts)."""
+    return dataclasses.replace(STREAMS[name], declared_facts={})
 
 
 def test_finite_commutative_inputs_get_definite_positives():
@@ -64,10 +70,15 @@ def test_noncommutative_finite_holds_every_closedness_property():
 
 
 def test_chain_growth_refutes_closedness():
+    # the declared infinite chain refutes; the chain the search finds on
+    # the stripped stream is evidence, and refutes nothing
     report = classify(STREAMS["natmin"], BUDGET, name="natmin")
     v = report.theorems["C_closed"]
-    assert v.fails and v.source == "search"
+    assert v.fails and v.source == "declared"
     assert v.witness["failing"] == ["chain_finite"]
+    chain = classify(_stripped("natmin"), BUDGET).suite["chain_finite"]
+    assert chain.status == UNKNOWN and chain.source == "search"
+    assert chain.witness["kind"] == "chain" and chain.witness["length"] == BUDGET.elements
 
 
 def test_aperiodicity_refutes_closedness_by_declaration():
@@ -82,7 +93,8 @@ def test_singular_prefix_refutes_closedness():
     v = report.theorems["C_closed"]
     assert v.fails and v.source == "declared"
     assert v.witness["failing"] == ["nonsingular"]
-    assert report.suite["nonsingular"].witness["evidence"]["kind"] == "singular_prefix"
+    singular = classify(_stripped("nullstream"), BUDGET).suite["nonsingular"]
+    assert singular.status == UNKNOWN and singular.witness["kind"] == "singular_prefix"
     # one idempotent, so the unipotent specialization fires and agrees
     assert report.unipotent.holds
     assert report.theorems["unipotent_C_closed"].fails
@@ -91,9 +103,11 @@ def test_singular_prefix_refutes_closedness():
 def test_infinite_subgroup_refutes_injective_closedness():
     report = classify(STREAMS["intadd"], BUDGET, name="intadd")
     v = report.theorems["injective_T2S"]
-    assert v.fails and v.source == "search"
+    assert v.fails and v.source == "declared"
     assert "group_finite" in v.witness["failing"]
     assert report.theorems["C_closed"].fails
+    growth = classify(_stripped("intadd"), BUDGET).suite["group_finite"]
+    assert growth.status == UNKNOWN and growth.witness["kind"] == "subgroup_growth"
 
 
 def test_flat_stream_is_closed_but_not_injectively():
@@ -101,8 +115,10 @@ def test_flat_stream_is_closed_but_not_injectively():
     assert report.theorems["C_closed"].holds
     assert report.theorems["C_closed"].source == "declared"
     v = report.theorems["injective_T1S"]
-    assert v.fails and v.source == "search"
+    assert v.fails and v.source == "declared"
     assert v.witness["failing"] == ["clifford_finite"]
+    growth = classify(_stripped("flat"), BUDGET).suite["clifford_finite"]
+    assert growth.status == UNKNOWN and growth.witness["kind"] == "clifford_growth"
     # infinite, so absolute closedness fails outright
     assert report.theorems["absolute_T1S"].fails
     assert report.theorems["absolute_T1S"].source == "declared"
@@ -202,6 +218,34 @@ def test_rules_that_need_commutativity_say_when_it_is_unknown():
         assert v.witness["kind"] == "inapplicable" and v.note == "commutativity unknown", kind
 
 
+@pytest.mark.parametrize("name", sorted(STREAMS))
+def test_a_declaration_reads_alike_from_every_entry_point(name):
+    # direct calls, the suite and the center suite answer a declared fact
+    # that no stream search could refute from the one short-circuit in
+    # predicates, as the declaration itself
+    S, budget = STREAMS[name], Budget(256, 4096)
+    report = classify(S, budget)
+    assert report.suite == {p: fn(S, budget) for p, fn in PREDICATES.items()}
+    for suite, facts in ((report.suite, S.declared_facts), (report.center.suite, S.center_facts)):
+        for p, v in suite.items():
+            if p in ("commutative", "unipotent") or p not in facts:
+                continue
+            want = {"kind": "declared", "fact": p, "value": bool(facts[p])}
+            if p == "bounded" and facts[p]:
+                want["n"] = facts["bound_exponent"]
+            assert v.source == "declared" and v.witness == want, (p, v.witness)
+
+
+@pytest.mark.parametrize("name", ["natmin", "prodcenter"])
+def test_a_handle_declaring_none_classifies_as_one_declaring_nothing(name):
+    # the dataclass default, or dataclasses.replace, may leave None where
+    # build_stream writes {}; the center probe once read None.get and raised
+    # AttributeError
+    budget = Budget(64, 1024)
+    got = classify(dataclasses.replace(STREAMS[name], declared_facts=None), budget)
+    assert got == classify(dataclasses.replace(STREAMS[name], declared_facts={}), budget)
+
+
 def test_a_carrier_that_runs_dry_contradicts_a_declared_infinite_one():
     # finiteness checks its search answer against a declaration, like every
     # predicate; it once reported finite and absolute_T1S as holds
@@ -212,70 +256,79 @@ def test_a_carrier_that_runs_dry_contradicts_a_declared_infinite_one():
 
 
 def test_intadd_classification_stays_under_its_multiplication_ceiling():
-    # about 42 k products; the ceiling catches the subgroup certificate
-    # recomputed by each Clifford predicate (about 210 k)
-    S = capped(STREAMS["intadd"], 100_000)
-    classify(S, Budget(256, 4096), name="intadd")
+    # the stripped stream runs every Clifford predicate: 35,847 products at
+    # 256/4096 and 111,879 at 1024/16384.  A subgroup certificate that
+    # scans the prefix for a witness, not reading the one code of intadd's
+    # quotient 0/x, costs 52,359 and 374,535
+    for budget, ceiling in ((Budget(256, 4096), 45_000), (Budget(1024, 16384), 130_000)):
+        classify(capped(_stripped("intadd"), ceiling), budget, name="intadd")
 
 
 def test_stream_classification_stays_under_its_multiplication_ceilings():
-    # 101,379 products on intadd at 1024/16384, 19,274 and 52,554 on
-    # prodcenter at 256/4096 and 1024/16384, and 678,850 over the corpus at
-    # both.  A subgroup certificate that scans the prefix for a witness, not
-    # reading the one code of intadd's quotient 0/x, costs 364,035 and
-    # 1,150,646; testing prodcenter's central codes against the window's
-    # generators, not reading its center off its factors, costs 97,150 and
-    # 167,306, and 871,478 over the corpus.
+    # a declared fact answers every predicate but the two guards at no
+    # product, so the declared streams pay for commutative's scan of
+    # 2 * steps products, unipotent's squares and the probes: 33,792
+    # products on intadd at 1024/16384, 6,210 and 6,978 on prodcenter at
+    # 256/4096 and 1024/16384, and 267,396 over the corpus at both.
+    # Testing prodcenter's central codes against the window's generators,
+    # not reading its center off its factors, costs 17,336 and 18,104.
     total = 0
     for budget in (Budget(256, 4096), Budget(1024, 16384)):
         for name, plain in stream_corpus():
             S, meter = counted(plain)
             classify(S, budget, name=name)
             if name == "intadd" and budget.elements == 1024:
-                assert meter.calls <= 110_000, meter.calls
+                assert meter.calls <= 40_000, meter.calls
             if name == "prodcenter":
-                ceiling = 25_000 if budget.elements == 256 else 60_000
+                ceiling = 8_000 if budget.elements == 256 else 9_000
                 assert meter.calls <= ceiling, (budget, meter.calls)
             total += meter.calls
-    assert total <= 750_000, total
+    assert total <= 300_000, total
 
 
 def test_chain_search_keeps_stream_classification_under_its_ceilings():
-    # about 68 k and 53 k products; a pairwise chain search alone costs
-    # 1024^2 = 1,048,576 on natmin and 1,054,702 on prodcenter, and testing
-    # prodcenter's central candidates against the window's generators, not
-    # reading its center off its factors, costs it 167 k in all
+    # the stripped streams run the chain search: 94,234 and 48,950
+    # products; a pairwise chain search alone costs 1024^2 = 1,048,576 on
+    # natmin and 1,054,702 on prodcenter
     for name, ceiling in (("natmin", 100_000), ("prodcenter", 110_000)):
-        classify(capped(STREAMS[name], ceiling), Budget(1024, 16384), name=name)
+        classify(capped(_stripped(name), ceiling), Budget(1024, 16384), name=name)
 
 
 def test_singular_evidence_keeps_null_classification_under_its_ceiling():
-    # about 61 k products each; growing the singular sets to the element
-    # budget scans 1024^2 pairs twice, 2,147,645 products in all
+    # the stripped streams run the singular searches: 86,970 products
+    # each; growing the singular sets to the element budget scans 1024^2
+    # pairs twice, 2,147,645 products in all
     for name in ("nullstream", "nilstream"):
-        report = classify(capped(STREAMS[name], 100_000), Budget(1024, 16384),
+        report = classify(capped(_stripped(name), 100_000), Budget(1024, 16384),
                           name=name)
-        evidence = report.suite["nonsingular"].witness["evidence"]
-        assert len(evidence["elements"]) == 64, name
+        witness = report.suite["nonsingular"].witness
+        assert witness["kind"] == "singular_prefix" and len(witness["elements"]) == 64, name
 
 
 @pytest.mark.parametrize("budget", [Budget(64, 64), Budget(256, 4096), Budget(1024, 16384)])
 @pytest.mark.parametrize("name", sorted(STREAMS))
 def test_classify_reads_each_carrier_code_once(name, budget):
-    # the view's pool is the one reader of the enumerator: its deepest
-    # readers are the chain and singular searches and the center handle
-    # (max(elements, steps) codes) and finiteness (elements + 1), and no
-    # code is read twice.  Separate reads took 8,962 codes at 256/4096 and
-    # 35,842 at 1024/16384.
-    base, read = STREAMS[name], [0]
+    # the view's pool is the one reader of the enumerator: on the stripped
+    # stream its deepest readers are the chain and singular searches and
+    # the center handle (max(elements, steps) codes) and finiteness
+    # (elements + 1); on the declared stream, which runs no chain or
+    # singular search, finiteness, or prodcenter's center handle at
+    # 256/4096, whose finiteness probe reads 129 central codes, one code in
+    # three.  No code is read twice.  Separate reads took 8,962 codes at
+    # 256/4096 and 35,842 at 1024/16384.
+    declared_depth = 387 if (name, budget.elements) == ("prodcenter", 256) else budget.elements + 1
+    for base, depth in ((STREAMS[name], declared_depth),
+                        (_stripped(name), max(budget.steps, budget.elements + 1))):
+        read = [0]
 
-    def enumerate_carrier():
-        for x in base.enumerate_carrier():
-            read[0] += 1
-            yield x
+        def enumerate_carrier(base=base):
+            for x in base.enumerate_carrier():
+                read[0] += 1
+                yield x
 
-    classify(dataclasses.replace(base, enumerate_carrier=enumerate_carrier), budget, name=name)
-    assert read[0] == max(budget.steps, budget.elements + 1)
+        classify(dataclasses.replace(base, enumerate_carrier=enumerate_carrier), budget,
+                 name=name)
+        assert read[0] == depth, base.declared_facts
 
 
 @pytest.mark.parametrize("budget", [Budget(64, 1024), Budget(1024, 16384)])

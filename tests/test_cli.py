@@ -192,6 +192,21 @@ def test_topology_on_a_group_is_discrete(capsys):
     assert "verdict: discrete" in out
 
 
+@pytest.mark.parametrize("kind", ["E", "H", "Z"])
+@pytest.mark.parametrize("builder", ["cyclic:1", "chain:1", "leftzero:1"])
+def test_topology_on_a_one_point_table_has_no_pair_to_separate(capsys, tmp_path,
+                                                               builder, kind):
+    # the t0 phase once sampled two codes from a ground of one and raised
+    # a raw ValueError
+    out_file = tmp_path / "topo.json"
+    code, out, err = run(capsys, "topology", "--builder", builder, "--kind", kind,
+                         "--out", str(out_file))
+    assert code == 0 and err == ""
+    assert "t0: 0/0 pairs separated definitely" in out
+    assert "verdict: discrete" in out
+    assert read_report(out_file).entries[0]["certificate"]["t0"] == []
+
+
 def test_topology_flat_certifies_and_writes_report(capsys, tmp_path):
     out_file = tmp_path / "topo.json"
     code, out, _ = run(capsys, "topology", "--builder", "flat",
@@ -269,36 +284,36 @@ def test_topology_at_256_4096_matches_the_golden_digests(capsys, tmp_path, build
 
 # sha256 of stdout of `classify` and `predicates` on each of the seven
 # streams at the two budgets of the benchmark's stream runs, where the
-# searches read the deepest prefixes
+# guard searches and the probes read the deepest prefixes
 STREAM_DIGESTS = {
-    ("classify", "natmin", 256, 4096): "8ec9af88ca50ab9d53f49513f0e975304c90f0dfde97ea0dd1e3e2193e990e41",
-    ("classify", "natplus", 256, 4096): "3d390311bfab1b83e7c643167fa382759a5faaca9845e702a6a74b694cd54afe",
-    ("classify", "nullstream", 256, 4096): "43af9576bd31d91ab62db59823b6421b55ac02cfd960f3093eefd3c74f415d7e",
-    ("classify", "nilstream", 256, 4096): "203a914578973e6dd6147e531bd803e41e7465daee4fd42ed493030d68722677",
-    ("classify", "flat", 256, 4096): "54104cde36a73163f12545cebf0ec75e5ea21aa848300d3412bf35eb1b7808b1",
-    ("classify", "intadd", 256, 4096): "40338335f51f4ba01e8e3eb354b694170c6a0b761de2ff48df22bb0a981f8b78",
-    ("classify", "prodcenter", 256, 4096): "744d946dccacf8fae7e576d026ca098edfb196b01514a123aa20f62cab1bb4cb",
-    ("classify", "natmin", 1024, 16384): "d75e26843a5c5135514ef5b375018bcdb605865408b73ca5c6654c44674a7d35",
-    ("classify", "natplus", 1024, 16384): "c20d500dbd843bf867df0206590a785e5bcb34b17e0427ffba9e9c593b753d3f",
-    ("classify", "nullstream", 1024, 16384): "41d70638a5535ce15a33da5238999b9ab5a9b66a6abd40074ec9690294ae7bc6",
-    ("classify", "nilstream", 1024, 16384): "1999b8b3b19c08c04844e6079646dd83d7fad107d299bcccd644b64485c10287",
-    ("classify", "flat", 1024, 16384): "33eb8a660753dd431c793853bba333c833b598ba4951525e6d54776dea7109b6",
-    ("classify", "intadd", 1024, 16384): "08cabaa31e0e6a1acdbb2c23d5d22ba5c55a6d21ad40af2dfe818097854c87f8",
-    ("classify", "prodcenter", 1024, 16384): "f214200b7c9df1c0b15651188578f59601d8dab08d6683dd3bba13f530be4955",
-    ("predicates", "natmin", 256, 4096): "ad7ec79c308321d760cbb296375208a2578b82c6e229ff25788e456a09f5c498",
-    ("predicates", "natplus", 256, 4096): "e8072201c0706063fe70f04399326dc40da2a2311ccbbd9770e4dab58666fac2",
-    ("predicates", "nullstream", 256, 4096): "849dba6ba02eed191b591f9037adb0b223d456337ed7e3144c8d783bfeb26504",
-    ("predicates", "nilstream", 256, 4096): "ece29ae729ef35154d1a56008da366bac0e2e764b3aac385e2995a24904fcec5",
-    ("predicates", "flat", 256, 4096): "326424fc0ceb94c66b1c646ddeb3a0d6eebcc2b91206766c4d3c98b8f6723a34",
-    ("predicates", "intadd", 256, 4096): "673bd9b2766115749e83b6efea0d01ea418e497cb21dee644b8655ba2241cf79",
-    ("predicates", "prodcenter", 256, 4096): "8f3519505efe2ead97c49957a4df844cd900b2c2d7eb35e8f1515a8d33b342d6",
-    ("predicates", "natmin", 1024, 16384): "64be1b9266ba572b4889bc343ad18c51953e280810667477d91930333d017248",
-    ("predicates", "natplus", 1024, 16384): "ebb86d83c6dd34dcad659bf1577866bc6f88df43af027f671f00128220bd03c9",
-    ("predicates", "nullstream", 1024, 16384): "68d14a23df1f853c3b5c3c12fb2e8e4a3e9c5fd6aafbbfdd09fef467945b8962",
-    ("predicates", "nilstream", 1024, 16384): "6afb790acc9f6ac555cb26138633474e701de8c116f4a0f8661ab491174c2a15",
-    ("predicates", "flat", 1024, 16384): "6148e25fc5570bebea2cbf0235a02f74a14aea735300fd47798b957c755d65b6",
-    ("predicates", "intadd", 1024, 16384): "98c155277e3f0a1af93ca280407b42338be26ddf703d9a6dd40bfad1325c8ff1",
-    ("predicates", "prodcenter", 1024, 16384): "49654d21fefff0dc89cf20c9f0d3a841b60cfe77d5501afd358f24b69464c373",
+    ("classify", "natmin", 256, 4096): "af67e67608f65c85d698eb7fc2c368e5667e3243bdba7ab5cc0db710571b1cd0",
+    ("classify", "natplus", 256, 4096): "1635686df1bd7140dfffca50b6ccca0e3667655f1d991a15b5b7bab348dc4c0c",
+    ("classify", "nullstream", 256, 4096): "8d4ddea98a2c1e2ed6ff20e142fb4ec1aab330db0f8d71e53f5536f6f08f3bc9",
+    ("classify", "nilstream", 256, 4096): "94da6bec6dcc51e990fae23abcc1c338dcb2c1f7679cb3ad93da5660013b9a08",
+    ("classify", "flat", 256, 4096): "3b24281387a37afa69c0963b87d305b513ebad358968e97cb81a44d03cb52364",
+    ("classify", "intadd", 256, 4096): "54c8a437cf8ae90ce9fab85c4a20b05f902334c76d289ee1370ed07c8ec3ea35",
+    ("classify", "prodcenter", 256, 4096): "b139c8d8355e0e2814b6eeaae5d5a32414c5276e781fc84d508238a3a33bc4b5",
+    ("classify", "natmin", 1024, 16384): "06fb2c7aecfb20fb4fabae3d7e055fa59649ffcaa5a3d031f53e15bcb71977bf",
+    ("classify", "natplus", 1024, 16384): "0c8e19438d50b8dce6da7eb2e52a6fb54dbc03ce2f35a84c666c0b8231ffe70f",
+    ("classify", "nullstream", 1024, 16384): "46752ffe90043831fc64e557d0d51d34b7f1702a5bab57e57e3916af1a78dcf1",
+    ("classify", "nilstream", 1024, 16384): "6a44368aba7322d7e8532ee653d0380cf5402ef8c928ef3c72a4f241ebd23267",
+    ("classify", "flat", 1024, 16384): "29d10ce38ceefaf117a696741ec86b38f62ec86b2600bf4ebb710df7a5918cba",
+    ("classify", "intadd", 1024, 16384): "1d6f6077a13592b085dcad985ca75fa0c9b61db5fb05195916a8c2de97c0ca78",
+    ("classify", "prodcenter", 1024, 16384): "33d6b6a346fc9b7e1bb925bd1d163c9dc5369b5092322df2edceefe99b71d9dc",
+    ("predicates", "natmin", 256, 4096): "57ebeba1b83d37a77fac6ebe32ff6746b5e49ab6f7f08df78be3a43a7e893aba",
+    ("predicates", "natplus", 256, 4096): "7be30d9d40c646824b0ec10f45c3745df2bb40cb7fb2bda2504f8ce41257806e",
+    ("predicates", "nullstream", 256, 4096): "ac93db7fd39644796efb8305f5e2464c0d76b0082138940c38e0f80c3363c0c0",
+    ("predicates", "nilstream", 256, 4096): "888f4383394dfc5b74c5c8a240e1c0c6d5c569cfeeaf027baf3a895287289b32",
+    ("predicates", "flat", 256, 4096): "ff89fee40842f85e7edbd3d5f45a3ebdabc3bc2c9847d1ef370f256eccef984e",
+    ("predicates", "intadd", 256, 4096): "cd15b8a0dabb3c5a5bb686cf11bce515fdb66d35f5c8372f938e3b61a2b1a2f8",
+    ("predicates", "prodcenter", 256, 4096): "695063f7b7248c6b6d0076ba73710045a00f3dee7a7753c5102bff6341c480c6",
+    ("predicates", "natmin", 1024, 16384): "39e113187a2e3908abc166ee83a65f5f6a0e43efc9a0a0d91e93b3b0fb42e40b",
+    ("predicates", "natplus", 1024, 16384): "05b451261c5d8841b06137fd011c4665ea30c85c0652c17fd1bda76bd962c3ba",
+    ("predicates", "nullstream", 1024, 16384): "dade99dda785ccff9aa5b6a48a13eafb89512207f0a0f32afa83f1a71bd578fd",
+    ("predicates", "nilstream", 1024, 16384): "78634e1039041c29bb0812cdd2bb84077be83a5b7dd32e963312de05d713e017",
+    ("predicates", "flat", 1024, 16384): "30f8df3569912a3cf87c7fb74de8ca5299c3cb6d45c770d58f474a44cd3fd491",
+    ("predicates", "intadd", 1024, 16384): "76b195feb7392b75c0896ff75f8c4b5b5fe82a07dae05bd38eb9285c441c8829",
+    ("predicates", "prodcenter", 1024, 16384): "3fcda29ad4035e73e9e071bb507b14c7a1439d912459668a17b565c6de360945",
 }
 
 

@@ -26,8 +26,8 @@ BUDGETS = {"2-8": Budget(2, 8), "64-1024": Budget(64, 1024), "256-4096": Budget(
 # each run takes at most 306,308 products at these budgets
 CAP = 400_000
 
-# flat at 2/8 reads a chain of two codes filling its prefix as an infinite
-# chain, once chain_finite is no longer declared
+# flat at 2/8 once read a chain of two codes filling its prefix as an
+# infinite chain, once chain_finite was no longer declared
 GROWTH_CHAIN = {("flat", "2-8", "drop chain_finite"), ("flat", "2-8", "only commutative")}
 
 
@@ -67,16 +67,12 @@ def test_partial_stripping_never_contradicts_the_declared_stream(name, budget):
     declared = _statuses(classify(S, BUDGETS[budget]))
     contradicted = []
     for variant, facts in _variants(S):
-        if (name, budget, variant) in GROWTH_CHAIN:
-            continue
         wrong = _contradicted(S, BUDGETS[budget], facts, declared)
         if wrong:
             contradicted.append((variant, wrong))
     assert contradicted == []
 
 
-@pytest.mark.xfail(strict=True, reason="a chain filling a short prefix is read as an "
-                                       "infinite one (ROADMAP.md item 1)")
 @pytest.mark.parametrize("name,budget,variant", sorted(GROWTH_CHAIN))
 def test_partial_stripping_growth_chain_cases(name, budget, variant):
     S = STREAMS[name]

@@ -4,10 +4,9 @@ stream code paths.
 Each of the 218 isomorphism classes of order <= 4 is wrapped as a stream
 with no declared facts, whose carrier runs dry at its order, and
 classified at a budget.  No definite status of the stream may contradict
-the table's exact report.  At the small budgets the stream's searches
-still read a chain, subgroup or Clifford part that fills the short prefix
-as an infinite one, so those budgets are strict xfails until growth
-witnesses become evidence rather than proof.
+the table's exact report.  At the small budgets a chain, subgroup or
+Clifford part fills the short prefix; it is evidence, not proof, so it
+leaves its predicate Unknown.
 """
 
 import pytest
@@ -21,16 +20,13 @@ from semitop.corpus import enumerate_classes
 # each classification takes at most 494 products at these budgets
 CAP = 2_000
 
-GROWTH_READ_AS_PROOF = pytest.mark.xfail(
-    strict=True, reason="a chain, subgroup or Clifford part filling a short prefix "
-                        "is read as an infinite one")
-
 BUDGETS = [
-    # classes contradicted at each small budget: 218, 195, 178 and 203
-    pytest.param(Budget(1, 1), marks=GROWTH_READ_AS_PROOF, id="1-1"),
-    pytest.param(Budget(2, 8), marks=GROWTH_READ_AS_PROOF, id="2-8"),
-    pytest.param(Budget(3, 16), marks=GROWTH_READ_AS_PROOF, id="3-16"),
-    pytest.param(Budget(4, 64), marks=GROWTH_READ_AS_PROOF, id="4-64"),
+    # classes contradicted at each small budget while a growth witness
+    # refuted: 218, 195, 178 and 203
+    pytest.param(Budget(1, 1), id="1-1"),
+    pytest.param(Budget(2, 8), id="2-8"),
+    pytest.param(Budget(3, 16), id="3-16"),
+    pytest.param(Budget(4, 64), id="4-64"),
     pytest.param(Budget(64, 1024), id="64-1024"),
 ]
 

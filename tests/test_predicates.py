@@ -1,5 +1,6 @@
 """Predicate verdicts: finite certainties, stream searches, declarations."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -23,6 +24,7 @@ from semitop.builders import (
     stream_corpus,
     zero_semigroup,
 )
+from semitop.classify import classify
 from semitop.core import Budget, build_finite, build_stream, direct_product
 from semitop.corpus import enumerate_finite
 from semitop.errors import CorpusIntegrityError
@@ -48,6 +50,11 @@ from semitop.predicates import (
 )
 
 BUDGET = Budget(64, 1024)
+
+
+def _stripped(S):
+    """``S`` with its declarations emptied, so every stream search runs."""
+    return dataclasses.replace(S, declared_facts={})
 
 
 def test_exact_views_run_no_stream_search(monkeypatch):
@@ -107,19 +114,25 @@ def test_finite_suite_statuses_are_definite():
 
 
 def test_natmin_chain_refutation():
-    v = chain_finite(natmin(), Budget(32, 4096))
-    assert v.fails and v.source == "search"
-    assert v.witness["length"] >= 32
-    assert replay(natmin(), "chain_finite", v)
+    # the declaration refutes; a chain of 32 codes found by the search on
+    # the stripped stream is evidence only
+    assert chain_finite(natmin(), Budget(32, 4096)).source == "declared"
+    S = _stripped(natmin())
+    v = chain_finite(S, Budget(32, 4096))
+    assert v.status == UNKNOWN and v.source == "search"
+    assert v.witness["kind"] == "chain" and v.witness["length"] >= 32
+    assert replay(S, "chain_finite", v)
 
 
 def test_nullstream_singularity():
-    # a singular set is evidence: the declared fact refutes and carries it
+    # a singular set is evidence: only the declared fact refutes
     v = nonsingular(nullstream(), Budget(32, 4096))
     assert v.fails and v.source == "declared"
-    w = v.witness["evidence"]
-    assert w["kind"] == "singular_prefix" and w["length"] == 32
-    assert replay(nullstream(), "nonsingular", v)
+    S = _stripped(nullstream())
+    v = nonsingular(S, Budget(32, 4096))
+    assert v.status == UNKNOWN and v.source == "search"
+    assert v.witness["kind"] == "singular_prefix" and v.witness["length"] == 32
+    assert replay(S, "nonsingular", v)
 
 
 def test_natplus_periodicity_only_by_declaration():
@@ -129,16 +142,18 @@ def test_natplus_periodicity_only_by_declaration():
 
 
 def test_flat_stream_clifford_growth():
-    v = clifford_finite(flat_stream(), Budget(64, 4096))
-    assert v.fails and v.source == "search"
-    assert v.witness["count"] >= 32
-    assert replay(flat_stream(), "clifford_finite", v)
+    S = _stripped(flat_stream())
+    v = clifford_finite(S, Budget(64, 4096))
+    assert v.status == UNKNOWN and v.source == "search"
+    assert v.witness["kind"] == "clifford_growth" and v.witness["count"] >= 32
+    assert replay(S, "clifford_finite", v)
 
 
 def test_intadd_group_growth_is_witnessed():
-    # the whole carrier is one subgroup, so the growth search refutes directly
-    v = group_finite(intadd(), BUDGET)
-    assert v.fails and v.source == "search"
+    # the whole carrier is one subgroup, so the growth search fills its
+    # budget; no finite prefix proves the subgroup infinite
+    v = group_finite(_stripped(intadd()), BUDGET)
+    assert v.status == UNKNOWN and v.source == "search"
     assert v.witness["kind"] == "subgroup_growth"
     assert v.witness["count"] >= BUDGET.elements // 2
 
@@ -167,7 +182,8 @@ def test_commutative_search_on_streams():
 def test_contradictory_declaration_is_rejected():
     # two idempotents are a finite proof against unipotent; a chain of 32
     # codes proves no infinite chain, so chain_finite keeps its declared
-    # value with the chain as evidence
+    # value, and the search, run once the fact is stripped, finds the chain
+    # as evidence
     base = natmin()
     liar = build_stream("liar", base.mul_fn, base.enumerate_carrier,
                         declared_facts={"chain_finite": True, "unipotent": True})
@@ -175,8 +191,10 @@ def test_contradictory_declaration_is_rejected():
         predicates.unipotent(liar, Budget(32, 4096))
     v = chain_finite(liar, Budget(32, 4096))
     assert v.holds and v.source == "declared"
-    assert v.witness["evidence"] == {"kind": "chain", "elements": list(range(32)),
-                                     "length": 32}
+    assert v.witness == {"kind": "declared", "fact": "chain_finite", "value": True}
+    v = chain_finite(_stripped(liar), Budget(32, 4096))
+    assert v.status == UNKNOWN
+    assert v.witness == {"kind": "chain", "elements": list(range(32)), "length": 32}
 
 
 def test_declared_bound_exponent_is_spot_checked():
@@ -186,6 +204,57 @@ def test_declared_bound_exponent_is_spot_checked():
                         declared_facts={"bounded": True, "bound_exponent": 3})
     with pytest.raises(CorpusIntegrityError):
         bounded(liar, BUDGET)
+
+
+# the two stream searches with a finite refuting witness, a noncommuting
+# pair and an idempotent pair; every other declared fact answers unsearched
+GUARDED = ("commutative", "unipotent")
+
+
+def _liars():
+    """(predicate, stream, error) for streams whose declaration a finite
+    witness refutes."""
+    nat = natmin()
+    yield pytest.param("commutative", build_stream(
+        "leftzero-stream", lambda x, y: x, nat.enumerate_carrier,
+        declared_facts={"commutative": True}), "commutative", id="noncommuting-pair")
+    yield pytest.param("unipotent", build_stream(
+        "two-idempotents", nat.mul_fn, nat.enumerate_carrier,
+        declared_facts={"unipotent": True}), "unipotent", id="idempotent-pair")
+    # Z/5 under addition has uniform exponent 5, not the declared 3
+    yield pytest.param("bounded", build_stream(
+        "bound3", lambda x, y: (x + y) % 5, lambda: iter(range(5)),
+        declared_facts={"bounded": True, "bound_exponent": 3}), "bound exponent 3",
+        id="bound-exponent")
+
+
+@pytest.mark.parametrize("entry", ["predicate", "evaluate_suite", "classify"])
+@pytest.mark.parametrize("name,liar,error", list(_liars()))
+def test_every_entry_point_keeps_the_guard_on_a_declaration(name, liar, error, entry):
+    run = {"predicate": predicates.PREDICATES[name], "evaluate_suite": evaluate_suite,
+           "classify": classify}[entry]
+    with pytest.raises(CorpusIntegrityError, match=error):
+        run(liar, BUDGET)
+
+
+@pytest.mark.parametrize("budget", [Budget(64, 1024), Budget(1024, 16384)])
+def test_a_declared_evidence_only_fact_costs_no_product(monkeypatch, budget):
+    # a declared bound exponent costs its check on the first SAMPLE_SIZE
+    # codes, at most two products each for an exponent of 1 or 2, and no
+    # orbit profile
+    def boom(*args):
+        raise AssertionError("orbit profile of a declared bound")
+
+    monkeypatch.setattr(core.Prefix, "orbit_profile", property(boom))
+    for name, plain in stream_corpus():
+        for pname, fn in predicates.PREDICATES.items():
+            if pname in GUARDED or pname not in plain.declared_facts:
+                continue
+            S, meter = counted(plain)
+            v = fn(S, budget)
+            assert v.source == "declared" and v.holds == plain.declared_facts[pname]
+            ceiling = 2 * core.SAMPLE_SIZE if pname == "bounded" and v.holds else 0
+            assert meter.calls <= ceiling, (name, pname, meter.calls)
 
 
 def test_suite_consistency_holds_everywhere():
@@ -201,34 +270,37 @@ def test_finite_clifford_part_with_a_long_chain_is_flagged():
 
 
 def _null_monoid():
-    """Zero 0, identity 1 and atoms 2, 3, ... whose products are all 0."""
+    """Zero 0, identity 1 and atoms 2, 3, ... whose products are all 0,
+    with its subgroup union declared and nothing else, so the singular
+    searches run."""
     def mul(x, y):
         return y if x == 1 else x if y == 1 else 0
 
     return build_stream("nullmonoid", mul, lambda: itertools.count(0),
-                        declared_facts={"nonsingular": False, "clifford_singular": True,
-                                        "clifford_part_codes": [0, 1]})
+                        declared_facts={"clifford_part_codes": [0, 1]})
 
 
 @pytest.mark.parametrize("name,kind", [("nonsingular", "singular_prefix"),
                                        ("clifford_singular", "singular_into_subgroups")])
 def test_replay_checks_declared_singular_evidence_pairwise(name, kind):
+    # a declared fact answers these predicates without a search, so the
+    # singular evidence replayed is the undeclared search's witness
     S = _null_monoid()
     v = predicates.PREDICATES[name](S, Budget(32, 1024))
-    evidence = v.witness["evidence"]
-    assert v.source == "declared" and evidence["kind"] == kind
+    assert v.status == UNKNOWN and v.source == "search" and v.witness["kind"] == kind
     assert replay(S, name, v)
     # the identity in place of one atom: its square leaves the product set
-    elements = evidence["elements"][:-1] + [1]
-    corrupt = v.witness | {"evidence": evidence | {"elements": elements}}
+    elements = v.witness["elements"][:-1] + [1]
+    corrupt = v.witness | {"elements": elements}
     assert not replay(S, name, Verdict(v.status, v.source, corrupt, v.budget))
 
 
 def test_replay_rejects_inflated_chain_length():
-    v = chain_finite(natmin(), Budget(32, 4096))
-    from semitop.predicates import Verdict
+    S = _stripped(natmin())
+    v = chain_finite(S, Budget(32, 4096))
+    assert v.witness["kind"] == "chain"
     fake = Verdict(v.status, v.source, v.witness | {"length": 99}, v.budget)
-    assert not replay(natmin(), "chain_finite", fake)
+    assert not replay(S, "chain_finite", fake)
 
 
 def _as_stream(name, S):
